@@ -364,10 +364,8 @@ fn wal_overhead_gate(factor: f64) -> (usize, usize) {
 /// behind whole delta applications and drags the median with it, while
 /// scheduler noise is a tail phenomenon and leaves the lock-free
 /// median near idle (measured 1.0–1.4× on a single-core runner, well
-/// under the default factor; the locked baseline is printed alongside
-/// for contrast, not asserted — its multiplier depends on how many
-/// cores the writers actually get). p99 is printed for visibility but
-/// not gated. Returns `(regressions, compared)`.
+/// under the default factor). p99 is printed for visibility but not
+/// gated. Returns `(regressions, compared)`.
 fn interference_gate(factor: f64) -> (usize, usize) {
     const BASE_SIZE: usize = 20_000;
     const READS: usize = 1_000;
@@ -409,13 +407,6 @@ fn interference_gate(factor: f64) -> (usize, usize) {
         us(idle.mvcc_p99),
         us(loaded.mvcc_p99),
         us(loaded.mvcc_p99) / us(idle.mvcc_p99).max(1e-9)
-    );
-    println!(
-        "{:>12} {:>16.1} {:>16.1} {:>7.2}x  (baseline, for contrast)",
-        "locked p50",
-        us(idle.locked_p50),
-        us(loaded.locked_p50),
-        us(loaded.locked_p50) / us(idle.locked_p50).max(1e-9)
     );
     (usize::from(regressed), 1)
 }

@@ -15,8 +15,8 @@ use birds_benchmarks::connection::{connection_scaling, ConnectionPoint};
 use birds_benchmarks::emit::write_atomic;
 use birds_benchmarks::throughput::{
     batch_sweep, disjoint_scaling, durability_autocommit_sweep, durability_batched_sweep,
-    group_commit_scaling, read_interference_sweep, thread_scaling, to_json, DurabilityPoint,
-    InterferencePoint, ScalePoint,
+    group_commit_scaling, read_interference_sweep, to_json, DurabilityPoint, InterferencePoint,
+    ScalePoint,
 };
 use std::time::Duration;
 
@@ -39,25 +39,12 @@ fn main() {
         }
     }
 
-    let (base_size, batch_sizes, threads, batches_per_thread, batch, per_client): (
-        usize,
-        Vec<usize>,
-        Vec<usize>,
-        usize,
-        usize,
-        usize,
-    ) = if quick {
-        (1_000, vec![100, 1_000], vec![1, 2], 2, 200, 50)
-    } else {
-        (
-            20_000,
-            vec![100, 1_000, 10_000],
-            vec![1, 2, 4, 8],
-            4,
-            1_000,
-            400,
-        )
-    };
+    let (base_size, batch_sizes, threads, per_client): (usize, Vec<usize>, Vec<usize>, usize) =
+        if quick {
+            (1_000, vec![100, 1_000], vec![1, 2], 50)
+        } else {
+            (20_000, vec![100, 1_000, 10_000], vec![1, 2, 4, 8], 400)
+        };
     // Group-commit epoch window for the autocommit scaling sweeps: long
     // enough that concurrent submitters reliably join the same epoch,
     // short enough to stay realistic as a commit latency floor.
@@ -78,14 +65,6 @@ fn main() {
             p.speedup()
         );
     }
-
-    println!();
-    println!(
-        "== concurrent clients, ONE shared view ({batch}-statement batches, \
-         {batches_per_thread} per client; contended baseline) =="
-    );
-    let scale_points = thread_scaling(base_size, &threads, batches_per_thread, batch);
-    print_scale_points(&scale_points);
 
     println!();
     println!(
@@ -124,7 +103,7 @@ fn main() {
     println!();
     println!(
         "== reader/writer interference: query latency under concurrent \
-         writers ({reads} reads/point, MVCC vs locked baseline) =="
+         writers ({reads} reads/point, lock-free MVCC reads) =="
     );
     let read_interference = read_interference_sweep(base_size, &reader_writers, reads);
     print_interference_points(&read_interference);
@@ -161,7 +140,6 @@ fn main() {
             &label,
             base_size,
             &batch_points,
-            &scale_points,
             &disjoint_points,
             &coalescing_points,
             &durability_batched,
@@ -211,17 +189,15 @@ fn print_durability_points(tag: &str, points: &[DurabilityPoint]) {
 
 fn print_interference_points(points: &[InterferencePoint]) {
     println!(
-        "{:>8} {:>14} {:>14} {:>16} {:>16}",
-        "writers", "mvcc p50 (us)", "mvcc p99 (us)", "locked p50 (us)", "locked p99 (us)"
+        "{:>8} {:>14} {:>14}",
+        "writers", "mvcc p50 (us)", "mvcc p99 (us)"
     );
     for p in points {
         println!(
-            "{:>8} {:>14.1} {:>14.1} {:>16.1} {:>16.1}",
+            "{:>8} {:>14.1} {:>14.1}",
             p.writers,
             p.mvcc_p50.as_secs_f64() * 1e6,
             p.mvcc_p99.as_secs_f64() * 1e6,
-            p.locked_p50.as_secs_f64() * 1e6,
-            p.locked_p99.as_secs_f64() * 1e6,
         );
     }
 }

@@ -183,7 +183,7 @@ pub fn batch_sweep(base_size: usize, batch_sizes: &[usize]) -> Vec<BatchPoint> {
         .collect()
 }
 
-/// One point of the thread-scaling sweep.
+/// One point of a client-scaling sweep.
 #[derive(Debug, Clone)]
 pub struct ScalePoint {
     /// Concurrent client threads.
@@ -199,50 +199,6 @@ impl ScalePoint {
     pub fn statements_per_sec(&self) -> f64 {
         self.total_statements as f64 / self.elapsed.as_secs_f64().max(1e-12)
     }
-}
-
-/// Measure aggregate throughput with `threads` concurrent clients, each
-/// committing `batches_per_thread` batches of `batch` statements.
-pub fn thread_scaling(
-    base_size: usize,
-    threads_list: &[usize],
-    batches_per_thread: usize,
-    batch: usize,
-) -> Vec<ScalePoint> {
-    threads_list
-        .iter()
-        .map(|&threads| {
-            let service = Service::new(VIEW.engine(base_size, StrategyMode::Incremental));
-            let t = Instant::now();
-            let handles: Vec<_> = (0..threads)
-                .map(|client| {
-                    let service = service.clone();
-                    std::thread::spawn(move || {
-                        let mut session = service.session();
-                        for b in 0..batches_per_thread {
-                            // A window per (client, batch) pair keeps ids
-                            // disjoint across everything.
-                            let stream_client = client * batches_per_thread + b;
-                            let scripts = statement_stream(base_size, stream_client, batch);
-                            session.begin().expect("no open batch");
-                            for script in &scripts {
-                                session.execute(script).expect("buffering cannot fail");
-                            }
-                            session.commit().expect("batch applies");
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("client thread");
-            }
-            ScalePoint {
-                threads,
-                total_statements: threads * batches_per_thread * batch,
-                elapsed: t.elapsed(),
-            }
-        })
-        .collect()
 }
 
 /// Measure aggregate autocommit throughput with `n` clients on `n`
@@ -429,26 +385,19 @@ pub fn durability_autocommit_sweep(base_size: usize, count: usize) -> Vec<Durabi
         .collect()
 }
 
-/// One point of the reader/writer-interference sweep: query latency
-/// percentiles under `writers` concurrent batch-committing writers,
-/// measured for both read paths — the lock-free MVCC
-/// [`Service::query`] and the pre-MVCC locked baseline
-/// (`debug_query_locked`, which takes the shard's read lock and copies
-/// the live relation).
+/// One point of the reader/writer-interference sweep: latency
+/// percentiles of the lock-free MVCC [`Service::query`] under `writers`
+/// concurrent batch-committing writers.
 #[derive(Debug, Clone)]
 pub struct InterferencePoint {
     /// Concurrent writer threads churning the queried view's shard.
     pub writers: usize,
-    /// Latency samples per read path.
+    /// Latency samples taken.
     pub reads: usize,
     /// MVCC query latency, median.
     pub mvcc_p50: Duration,
     /// MVCC query latency, 99th percentile.
     pub mvcc_p99: Duration,
-    /// Locked-read latency, median.
-    pub locked_p50: Duration,
-    /// Locked-read latency, 99th percentile.
-    pub locked_p99: Duration,
 }
 
 fn percentile(sorted: &[Duration], p: f64) -> Duration {
@@ -465,8 +414,7 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
 /// *same* footprint shard the reader queries and holds its write lock
 /// for the whole multi-statement delta application, the worst case for
 /// reader/writer interference — while the main thread samples `reads`
-/// latencies of the MVCC [`Service::query`] and of the locked baseline
-/// read. Batches alternate between inserting a block of fresh ids and
+/// latencies of the MVCC [`Service::query`]. Batches alternate between inserting a block of fresh ids and
 /// deleting it again, so the view's size stays bounded: loaded reads
 /// sort (nearly) the same data as idle ones, and the ratio measures
 /// interference, not growth. The CI `bench_gate
@@ -493,8 +441,8 @@ pub fn read_interference_sweep(
                     std::thread::spawn(move || {
                         // Batch size tuned so each commit holds the
                         // shard's write lock for a macroscopic stretch —
-                        // lock-taking reads queue behind it, lock-free
-                        // reads must not. (A net-zero batch would
+                        // lock-free reads must not queue behind it. (A
+                        // net-zero batch would
                         // coalesce to an empty delta and skip the lock
                         // work entirely, hence insert/delete alternate
                         // between commits.)
@@ -524,28 +472,19 @@ pub fn read_interference_sweep(
                     })
                 })
                 .collect();
-            let sample = |read: &dyn Fn() -> usize| -> Vec<Duration> {
-                // Warm-up reads are discarded (first-touch effects).
-                for _ in 0..reads / 10 {
-                    read();
-                }
-                let mut samples = Vec::with_capacity(reads);
-                for _ in 0..reads {
-                    let t = Instant::now();
-                    let n = read();
-                    samples.push(t.elapsed());
-                    assert!(n >= 1, "query returned the seeded view");
-                }
-                samples.sort();
-                samples
-            };
-            let mvcc = sample(&|| service.query(view).expect("view is queryable").len());
-            let locked = sample(&|| {
-                service
-                    .debug_query_locked(view)
-                    .expect("view is queryable")
-                    .len()
-            });
+            let read = || service.query(view).expect("view is queryable").len();
+            // Warm-up reads are discarded (first-touch effects).
+            for _ in 0..reads / 10 {
+                read();
+            }
+            let mut mvcc = Vec::with_capacity(reads);
+            for _ in 0..reads {
+                let t = Instant::now();
+                let n = read();
+                mvcc.push(t.elapsed());
+                assert!(n >= 1, "query returned the seeded view");
+            }
+            mvcc.sort();
             stop.store(true, Ordering::Relaxed);
             for h in handles {
                 h.join().expect("writer thread");
@@ -555,8 +494,6 @@ pub fn read_interference_sweep(
                 reads,
                 mvcc_p50: percentile(&mvcc, 0.50),
                 mvcc_p99: percentile(&mvcc, 0.99),
-                locked_p50: percentile(&locked, 0.50),
-                locked_p99: percentile(&locked, 0.99),
             }
         })
         .collect()
@@ -601,7 +538,6 @@ pub fn to_json(
     label: &str,
     base_size: usize,
     batch_points: &[BatchPoint],
-    scale_points: &[ScalePoint],
     disjoint_points: &[ScalePoint],
     coalescing_points: &[ScalePoint],
     durability_batched: &[DurabilityPoint],
@@ -681,9 +617,7 @@ pub fn to_json(
                 "Service-layer write throughput on the luxuryitems corpus strategy. \
                  batch_vs_statement: wall time for k statements applied as k autocommit \
                  transactions vs one coalesced session batch (one incremental pass). \
-                 thread_scaling: n clients committing 1000-statement batches on ONE \
-                 shared view — all in one footprint shard, so commits serialize (the \
-                 contended baseline; flat by design). disjoint_thread_scaling: n \
+                 disjoint_thread_scaling: n \
                  autocommit clients x n disjoint views, one footprint shard per \
                  client, group-commit epoch window as configured — epoch waits \
                  overlap across shards and evaluations parallelize across cores, so \
@@ -694,10 +628,6 @@ pub fn to_json(
             ),
         ),
         ("batch_vs_statement".to_owned(), Json::Arr(batch_json)),
-        (
-            "thread_scaling".to_owned(),
-            Json::Arr(scale_json(scale_points)),
-        ),
         (
             "disjoint_thread_scaling".to_owned(),
             Json::Arr(scale_json(disjoint_points)),
@@ -742,10 +672,7 @@ pub fn to_json(
                          the gate factor of its idle p50 is the CI-gated claim (bench_gate \
                          --read-interference-gate): readers never wait for writers. p99 is \
                          recorded but not gated: on an oversubscribed runner tail latency \
-                         measures CPU scheduling, not lock behaviour. locked: the pre-MVCC \
-                         baseline (shard read lock + live copy), kept for comparison — it \
-                         serializes behind commit critical sections and its median degrades \
-                         as writers are added.",
+                         measures CPU scheduling, not lock behaviour.",
                     ),
                 ),
                 (
@@ -773,8 +700,6 @@ fn interference_json(points: &[InterferencePoint]) -> Vec<birds_service::Json> {
                 ("reads".to_owned(), Json::Int(p.reads as i64)),
                 ("mvcc_p50_us".to_owned(), Json::Float(us(p.mvcc_p50))),
                 ("mvcc_p99_us".to_owned(), Json::Float(us(p.mvcc_p99))),
-                ("locked_p50_us".to_owned(), Json::Float(us(p.locked_p50))),
-                ("locked_p99_us".to_owned(), Json::Float(us(p.locked_p99))),
             ])
         })
         .collect()
@@ -873,13 +798,6 @@ mod tests {
     }
 
     #[test]
-    fn scaling_smoke() {
-        let points = thread_scaling(300, &[2], 2, 20);
-        assert_eq!(points[0].total_statements, 80);
-        assert!(points[0].statements_per_sec() > 0.0);
-    }
-
-    #[test]
     fn durability_sweeps_cover_every_mode() {
         let points = durability_batched_sweep(150, 2, 15);
         let modes: Vec<&str> = points.iter().map(|p| p.mode).collect();
@@ -897,7 +815,6 @@ mod tests {
     #[test]
     fn json_document_shape() {
         let batch = batch_sweep(300, &[30]);
-        let scale = thread_scaling(300, &[1], 1, 20);
         let disjoint = disjoint_scaling(100, &[1, 2], 10, Duration::from_micros(50));
         let coalescing = group_commit_scaling(100, &[2], 10, Duration::from_micros(50));
         let dur_batched = durability_batched_sweep(100, 2, 10);
@@ -918,7 +835,6 @@ mod tests {
             "test",
             300,
             &batch,
-            &scale,
             &disjoint,
             &coalescing,
             &dur_batched,
@@ -1019,7 +935,7 @@ mod tests {
     }
 
     #[test]
-    fn interference_sweep_measures_both_paths_at_each_writer_count() {
+    fn interference_sweep_measures_each_writer_count() {
         let points = read_interference_sweep(100, &[0, 2], 30);
         assert_eq!(points.len(), 2);
         assert_eq!(points[0].writers, 0);
@@ -1027,7 +943,6 @@ mod tests {
         for p in &points {
             assert_eq!(p.reads, 30);
             assert!(p.mvcc_p50 <= p.mvcc_p99);
-            assert!(p.locked_p50 <= p.locked_p99);
             assert!(p.mvcc_p99 > Duration::ZERO);
         }
     }

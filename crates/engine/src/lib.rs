@@ -31,4 +31,4 @@ pub use engine::{
     strategy_touches, Engine, ExecutionStats, StrategyMode, ViewDefinition, ViewFootprint,
 };
 pub use error::{EngineError, EngineResult};
-pub use snapshot::{read_snapshot, write_snapshot, SNAPSHOT_MAGIC};
+pub use snapshot::{read_snapshot, write_snapshot};

@@ -20,7 +20,7 @@ use birds_store::Relation;
 use std::io::{Read, Write};
 
 /// Magic tag of an engine snapshot stream.
-pub const SNAPSHOT_MAGIC: [u8; 4] = *b"BSNP";
+const SNAPSHOT_MAGIC: [u8; 4] = *b"BSNP";
 
 /// Write a snapshot stream covering exactly `relations`. The sharded
 /// service uses this directly to checkpoint across shard engines; a

@@ -1,0 +1,255 @@
+//! The one commit pipeline: every state change a durable service
+//! acknowledges — an autocommit epoch, a session batch, a view
+//! registration — goes through the bracket defined here (diagram:
+//! ARCHITECTURE.md, "Lifecycle of a commit").
+//!
+//! Under the write locks of the shards it touches, an epoch
+//! ([`Service::commit_epoch`]) (1) coalesces its single-view members per
+//! view, (2) derives, copies for the WAL and applies each net delta,
+//! (3) takes one commit seq per member in application order, (4) appends
+//! its records to the lowest locked shard's writer and (5) syncs once
+//! ([`EpochWal::log`] — registrations log their `Register`/`Unregister`
+//! record through the same helper), (6) publishes the locked shards'
+//! snapshots, and only then (7) fills the members' result slots. With
+//! the locks released, (8) `Service::settle` does the checkpoint
+//! accounting, or the emergency heal after a durability failure.
+//!
+//! The epoch is *the* unit of ordering, durability and visibility
+//! (Obladi, arXiv:1809.10559); a session batch is simply an epoch with
+//! one member, and a registration is an epoch whose single record is a
+//! topology change instead of a delta.
+//!
+//! ## Semantics
+//!
+//! Single-view members (autocommit transactions) that target the same
+//! view **coalesce**: their statements are concatenated in queue order
+//! and folded by Algorithm 2 into one net delta, applied in one
+//! incremental pass and logged as one [`WalRecord::Commit`] carrying one
+//! seq per member. The integrity constraints are checked once against
+//! that net effect — the same contract a multi-statement session batch
+//! has. When the net delta is rejected, the members are replayed
+//! individually, so per-transaction error attribution (and the
+//! one-bad-transaction-doesn't-abort-its-neighbours property) is
+//! preserved on the failure path. Member stats report the pass's totals,
+//! not a per-statement split.
+//!
+//! A multi-view member (a session batch spanning views) is never
+//! coalesced with anything: its groups apply in order, atomically *per
+//! view*, and its deltas form one record under one seq. If it fails on
+//! its k-th view, the applied k−1 prefix is still logged under a fresh
+//! seq — recovery must converge to exactly the in-memory state — and the
+//! member still gets the engine's error. With nothing loggable (an
+//! in-memory service, or a prefix that netted to nothing) no seq is
+//! consumed and the mutated shards republish at their unchanged
+//! high-water seq (the caveat documented in [`crate::snapshot`]).
+//!
+//! ## Durability
+//!
+//! No member learns it committed until the epoch's records are on disk
+//! under the configured fsync policy: result slots are filled only after
+//! [`EpochWal::log`] returned. A failed append or sync turns every
+//! would-be `Ok` of the epoch into [`ServiceError::Durability`] — the
+//! transactions may have applied in memory (and are published, so reads
+//! keep matching memory), but they were never acknowledged, so "commit
+//! returned OK ⇒ survives a crash" still holds. An empty net delta has
+//! no durable effect and writes no record (see [`Service::commits`]).
+
+use crate::error::{ServiceError, ServiceResult};
+use crate::group_commit::{PendingTx, TxResult};
+use crate::locks::LockId;
+use crate::service::{Service, Topology};
+use birds_engine::{Engine, ExecutionStats};
+use birds_store::Delta;
+use birds_wal::{FsyncPolicy, SegmentWriter, WalRecord};
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, RwLockWriteGuard};
+
+/// The write-locked shards an epoch runs under, in ascending [`LockId`]
+/// order. Every slot is live (`Some`): callers re-resolve against a
+/// fresh topology when they find a retired one.
+pub(crate) type ShardGuards<'a> = Vec<(LockId, RwLockWriteGuard<'a, Option<Engine>>)>;
+
+/// The durability hookup an epoch writes through: the lowest locked
+/// shard's segment writer plus the service's fsync policy. Every
+/// appender to that segment holds that shard's write lock, so the log
+/// stays append-ordered.
+pub(crate) struct EpochWal<'a> {
+    pub(crate) writer: &'a Mutex<SegmentWriter>,
+    pub(crate) fsync: FsyncPolicy,
+}
+
+impl EpochWal<'_> {
+    /// Log-then-sync, the only way a record reaches the WAL: append
+    /// `records` in order under one writer-mutex tenure, then run the
+    /// epoch-end sync when the policy defers to epoch granularity (one
+    /// `fdatasync` covers the whole epoch — the group-commit durability
+    /// amortization). The epoch is the unit of durability: the first
+    /// failure is the epoch's result (every record is still attempted,
+    /// so whatever the log accepted stays replayable).
+    ///
+    /// The segment writer seals itself on a real IO failure, so a shard
+    /// whose log may be torn mid-file refuses every further append — no
+    /// commit is ever acknowledged with its record buried behind a torn
+    /// region.
+    pub(crate) fn log(&self, records: &[WalRecord]) -> ServiceResult<()> {
+        let mut writer = self
+            .writer
+            .lock()
+            .map_err(|_| ServiceError::Poisoned("wal segment writer".into()))?;
+        let mut logged = Ok(());
+        for record in records {
+            let appended = writer.append(record, self.fsync);
+            logged = logged.and(appended.map_err(|e| format!("wal append failed: {e}")));
+        }
+        if self.fsync.sync_each_epoch() && !self.fsync.sync_each_record() {
+            logged = logged.and(writer.sync().map_err(|e| format!("wal sync failed: {e}")));
+        }
+        logged.map_err(ServiceError::Durability)
+    }
+}
+
+impl Service {
+    /// Run one epoch under `guards` (see the module docs for the steps).
+    /// Every member's result slot is filled on return; the guards are
+    /// released before the post-commit hook runs.
+    pub(crate) fn commit_epoch(
+        &self,
+        topo: &Topology,
+        mut guards: ShardGuards<'_>,
+        members: &[Arc<PendingTx>],
+    ) {
+        // `None` on an in-memory service: nothing is logged (or cloned
+        // for logging).
+        let wal = self.epoch_wal(topo, guards[0].0);
+        // Step 1 — units (members that commit as one) in first-appearance
+        // order, queue order within a unit.
+        let mut units: VecDeque<Vec<&PendingTx>> = VecDeque::new();
+        for tx in members {
+            let coalesces = |unit: &&mut Vec<&PendingTx>| {
+                tx.groups().len() == 1 && unit[0].groups().len() == 1 && unit[0].view() == tx.view()
+            };
+            match units.iter_mut().find(coalesces) {
+                Some(unit) => unit.push(tx),
+                None => units.push_back(vec![tx]),
+            }
+        }
+        // The epoch's WAL records, in application order, and every
+        // member's acknowledgement — held back until the records are
+        // durable and the snapshots published.
+        let mut records: Vec<WalRecord> = Vec::new();
+        let mut fills: Vec<(&PendingTx, TxResult)> = Vec::new();
+        // Seqs assigned (the checkpoint-threshold count) and the highest
+        // of them: the snapshot publication tag, regardless of later
+        // durability failures — memory changed either way.
+        let (mut seqs_assigned, mut max_seq) = (0u64, None);
+        // A rejected member left an applied prefix behind without
+        // consuming a seq.
+        let mut dirty = false;
+        while let Some(unit) = units.pop_front() {
+            // A lone member derives from its statements by reference;
+            // only a coalesced unit pays for the concatenation.
+            let coalesced;
+            let groups = match &unit[..] {
+                [tx] => tx.groups(),
+                members => {
+                    let statements = members
+                        .iter()
+                        .flat_map(|tx| tx.groups()[0].1.iter().cloned())
+                        .collect();
+                    coalesced = [(members[0].view().to_owned(), statements)];
+                    &coalesced[..]
+                }
+            };
+            // Step 2 — per group: derive the net delta against the
+            // in-lock state (so earlier groups' cascades are visible),
+            // keep a copy for the WAL, apply it in one pass. The derived
+            // delta is normalized against the in-lock view state, so
+            // the copy is byte-for-byte what got applied — the exact
+            // replay-log entry.
+            let mut stats = ExecutionStats::default();
+            let mut deltas: Vec<(String, Delta)> = Vec::new();
+            let mut applied_any = false;
+            let mut failure = None;
+            for (view, statements) in groups {
+                let slot = topo.held_slot(&mut guards, view);
+                let engine = slot.as_mut().expect("an epoch holds live slots");
+                let applied = engine.derive_delta(view, statements).and_then(|delta| {
+                    let log_copy = wal.is_some().then(|| delta.clone());
+                    engine.apply_delta(view, delta).map(|pass| (log_copy, pass))
+                });
+                match applied {
+                    Ok((log_copy, pass)) => {
+                        applied_any = true;
+                        stats.view_delta_size += pass.view_delta_size;
+                        stats.source_delta_size += pass.source_delta_size;
+                        stats.cascades += pass.cascades;
+                        // An empty net delta has no durable effect: no record.
+                        let loggable = log_copy.filter(|delta| !delta.is_empty());
+                        deltas.extend(loggable.map(|delta| (view.clone(), delta)));
+                    }
+                    Err(e) => {
+                        failure = Some(ServiceError::Engine(e));
+                        break;
+                    }
+                }
+            }
+            if let (Some(e), true) = (&failure, deltas.is_empty()) {
+                // Rejected with nothing loggable: no seq, no record. A
+                // lone member takes the error (its net path *is* the
+                // individual path); a coalesced unit falls back to
+                // per-member replay — next, in queue order.
+                dirty |= applied_any;
+                match &unit[..] {
+                    [tx] => fills.push((tx, Err(e.clone()))),
+                    members => members
+                        .iter()
+                        .rev()
+                        .for_each(|tx| units.push_front(vec![tx])),
+                }
+                continue;
+            }
+            // Step 3 — one seq per member (a failed member's applied
+            // prefix takes its one seq too), assigned while the
+            // footprint is locked.
+            let seqs: Vec<u64> = unit.iter().map(|_| self.next_commit_seq()).collect();
+            seqs_assigned += seqs.len() as u64;
+            max_seq = seqs.last().copied();
+            for (tx, &seq) in unit.iter().zip(&seqs) {
+                let result = match &failure {
+                    Some(e) => Err(e.clone()),
+                    None => Ok((seq, stats.clone())),
+                };
+                fills.push((tx, result));
+            }
+            if !deltas.is_empty() {
+                records.push(WalRecord::Commit { seqs, deltas });
+            }
+        }
+        // Steps 4 and 5 — log, then one sync.
+        let logged = match &wal {
+            Some(wal) if !records.is_empty() => wal.log(&records),
+            _ => Ok(()),
+        };
+        if let Err(e) = &logged {
+            // Applied in memory but not durably acknowledged; an
+            // engine-level failure still wins a member's report.
+            for (_, result) in fills.iter_mut().filter(|(_, result)| result.is_ok()) {
+                *result = Err(e.clone());
+            }
+        }
+        // Step 6 — publish before acknowledging: a member must find its
+        // own write on the lock-free read path the moment it learns it
+        // committed.
+        if max_seq.is_some() || dirty {
+            self.publish_guarded(topo, &mut guards, max_seq);
+        }
+        // Step 7 — acknowledge.
+        for (tx, result) in fills {
+            tx.fill(result);
+        }
+        drop(guards);
+        // Step 8 — every seq the epoch made durable counts toward the
+        // checkpoint threshold, a failed batch's logged prefix included.
+        self.settle(logged.map(|()| seqs_assigned));
+    }
+}

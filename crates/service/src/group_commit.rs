@@ -1,123 +1,71 @@
-//! Group commit: coalesce concurrent autocommit transactions into one
-//! incremental pass per view.
+//! Group commit: the per-shard queue that turns concurrent autocommit
+//! transactions into one epoch of the commit pipeline.
 //!
-//! Clients that never call `begin`/`commit` pay one strategy evaluation
-//! per statement under the PR-3 design. This module gives them
-//! batch-level throughput anyway: each shard has a `GroupCommitter`
+//! Clients that never call `begin`/`commit` would otherwise pay one
+//! strategy evaluation per statement. Each shard has a `GroupCommitter`
 //! queue; an autocommit transaction enqueues itself and the first
-//! submitter to win the shard's write lock becomes the **epoch leader**,
-//! draining everything queued at that moment and applying it as one
-//! *net* delta per view (Algorithm 2 over the concatenated statements —
-//! exactly the coalescing a session batch gets). Followers find their
-//! result filled in when the leader releases the lock. With the default
-//! zero epoch window the epoch is simply the leader's lock tenure:
-//! uncontended clients keep single-statement latency, contended shards
-//! batch automatically. A non-zero window additionally parks each
-//! submitter before its first leadership attempt, trading latency for
-//! deeper epochs (the fixed-epoch design of Obladi, arXiv:1809.10559).
+//! submitter to win the shard's write lock becomes the **epoch leader**:
+//! it drains everything queued at that moment and hands it, as the
+//! members of one epoch, to the commit pipeline (`crate::commit`) —
+//! the same bracket a session batch and a registration go through.
+//! Followers find their result slot filled when the leader releases the
+//! lock. With the default zero epoch window the epoch is simply the
+//! leader's lock tenure: uncontended clients keep single-statement
+//! latency, contended shards batch automatically. A non-zero window
+//! additionally parks each submitter before its first leadership
+//! attempt, trading latency for deeper epochs (the fixed-epoch design of
+//! Obladi, arXiv:1809.10559).
 //!
-//! ## Semantics
-//!
-//! An epoch commits **atomically per view**: every member transaction
-//! gets its own commit sequence number (assigned in epoch order, so the
-//! global sequence stays dense and replayable), but the integrity
-//! constraints are checked once against the epoch's net effect — the
-//! same contract a multi-statement session batch has. When the net
-//! delta is rejected, the leader falls back to replaying the members
-//! individually, so per-transaction error attribution (and the
-//! one-bad-transaction-doesn't-abort-its-neighbours property) is
-//! preserved on the failure path. Member stats report the epoch's
-//! totals, not a per-statement split.
-//!
-//! ## Durability
-//!
-//! With a WAL attached (`EpochWal`), every applied group is appended
-//! to the shard's segment — the epoch *is* the WAL batch — while the
-//! shard lock is still held, and **no member learns it committed until
-//! the epoch's records are on disk** (per the fsync policy): result
-//! slots are filled only after the epoch-end sync. A sync or append
-//! failure turns the affected members' results into
-//! [`ServiceError::Durability`] — the transaction may have applied in
-//! memory, but it was never acknowledged, so "commit returned OK ⇒
-//! survives a crash" still holds.
+//! This module owns only the queue and the member type; what an epoch
+//! *means* (coalescing, seq assignment, WAL record granularity, the
+//! no-ack-before-fsync rule) is defined once, in `crate::commit`.
 //!
 //! Panic safety: the queue and result slots are `Mutex`es; if a leader
 //! panics mid-epoch, waiters see the poisoned mutex and surface
 //! [`ServiceError::Poisoned`] instead of panicking their own connection
-//! threads (satellite of the sharding work — see `locks.rs` for why the
-//! shard locks themselves recover instead).
+//! threads (see `locks.rs` for why the shard locks themselves recover
+//! instead).
 
 use crate::error::{ServiceError, ServiceResult};
-use birds_engine::{Engine, ExecutionStats};
+use birds_engine::ExecutionStats;
 use birds_sql::DmlStatement;
-use birds_wal::{FsyncPolicy, SegmentWriter, WalRecord};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// What a completed transaction hands back to its submitter.
+/// What a completed transaction hands back to its submitter: its commit
+/// seq and the stats of the pass that applied it (for a coalesced
+/// member, the epoch's per-view totals).
 pub(crate) type TxResult = ServiceResult<(u64, ExecutionStats)>;
 
-/// The durability hookup an epoch leader writes through: the owning
-/// shard's segment writer plus the service's fsync policy.
-pub(crate) struct EpochWal<'a> {
-    pub(crate) writer: &'a Mutex<SegmentWriter>,
-    pub(crate) fsync: FsyncPolicy,
-}
-
-impl EpochWal<'_> {
-    /// Append one record under the writer mutex. The segment writer
-    /// seals itself on a real IO failure, so a shard whose log may be
-    /// torn mid-file refuses every further append — no commit is ever
-    /// acknowledged with its record buried behind a torn region.
-    pub(crate) fn append(&self, record: &WalRecord) -> ServiceResult<()> {
-        let mut writer = self
-            .writer
-            .lock()
-            .map_err(|_| ServiceError::Poisoned("wal segment writer".into()))?;
-        writer
-            .append(record, self.fsync)
-            .map_err(|e| ServiceError::Durability(format!("wal append failed: {e}")))
-    }
-
-    /// The epoch-end sync, when the policy defers to epoch granularity.
-    pub(crate) fn sync_epoch(&self) -> ServiceResult<()> {
-        if self.fsync.sync_each_epoch() && !self.fsync.sync_each_record() {
-            let mut writer = self
-                .writer
-                .lock()
-                .map_err(|_| ServiceError::Poisoned("wal segment writer".into()))?;
-            writer
-                .sync()
-                .map_err(|e| ServiceError::Durability(format!("wal sync failed: {e}")))?;
-        }
-        Ok(())
-    }
-}
-
-/// One autocommit transaction waiting for an epoch leader.
+/// One member of a commit epoch: its statements, grouped by target view
+/// in application order, plus the slot its result is delivered through.
+/// An autocommit transaction has exactly one group and waits in a
+/// [`GroupCommitter`] for an epoch leader; a session batch has one group
+/// per view it touches and submits itself as a one-member epoch.
 pub(crate) struct PendingTx {
-    /// The single view (or, erroneously, base relation — the engine
-    /// rejects it) every statement targets.
-    view: String,
-    statements: Vec<DmlStatement>,
+    groups: Vec<(String, Vec<DmlStatement>)>,
     result: Mutex<Option<TxResult>>,
 }
 
 impl PendingTx {
-    pub(crate) fn new(view: String, statements: Vec<DmlStatement>) -> Arc<PendingTx> {
+    pub(crate) fn new(groups: Vec<(String, Vec<DmlStatement>)>) -> Arc<PendingTx> {
+        debug_assert!(!groups.is_empty(), "a member targets at least one view");
         Arc::new(PendingTx {
-            view,
-            statements,
+            groups,
             result: Mutex::new(None),
         })
     }
 
-    /// The view every statement of this transaction targets — the
-    /// routing key a live re-shard uses to move a queued transaction to
-    /// its new shard's committer.
+    /// The `(view, statements)` groups, in application order.
+    pub(crate) fn groups(&self) -> &[(String, Vec<DmlStatement>)] {
+        &self.groups
+    }
+
+    /// The first (for an autocommit transaction: the only) target view —
+    /// the routing key a live re-shard uses to move a queued transaction
+    /// to its new shard's committer.
     pub(crate) fn view(&self) -> &str {
-        &self.view
+        &self.groups[0].0
     }
 
     /// Take the finished result, `Ok(None)` while still pending. A
@@ -166,10 +114,6 @@ struct CommitterQueue {
 }
 
 impl GroupCommitter {
-    pub(crate) fn new() -> GroupCommitter {
-        GroupCommitter::default()
-    }
-
     /// Queue a transaction for the next epoch. Returns `false` (without
     /// queueing) when the committer was closed by a live re-shard — the
     /// submitter reloads the topology and enqueues there instead.
@@ -206,167 +150,5 @@ impl GroupCommitter {
         let mut queue = self.queue.lock().unwrap_or_else(|e| e.into_inner());
         queue.closed = true;
         queue.pending.drain(..).collect()
-    }
-}
-
-/// Apply one epoch under the shard's write lock: group members by view
-/// (first appearance order, preserving queue order within a view),
-/// coalesce each group into one net delta and apply it in a single
-/// incremental pass; on rejection, replay that group's members
-/// individually. Assigns commit sequence numbers (successes only) in
-/// application order and, with a WAL attached, appends one record per
-/// applied delta. Every member's result slot is filled at the end —
-/// after the epoch-end fsync, so a filled `Ok` means durable under the
-/// configured policy.
-///
-/// When at least one delta was applied, `publish` is invoked — still
-/// under the shard lock, after the epoch-end sync but **before any
-/// result slot fills** — with the engine and the epoch's highest
-/// applied commit seq. The caller uses it to publish the shard's MVCC
-/// snapshot: filling first would let a member observe `Ok` and then
-/// miss its own write on the lock-free read path.
-pub(crate) fn process_epoch(
-    engine: &mut Engine,
-    commit_seq: &AtomicU64,
-    epoch: Vec<Arc<PendingTx>>,
-    wal: Option<&EpochWal<'_>>,
-    publish: impl FnOnce(&mut Engine, u64),
-) {
-    let mut groups: Vec<(String, Vec<Arc<PendingTx>>)> = Vec::new();
-    for tx in epoch {
-        match groups.iter_mut().find(|(view, _)| *view == tx.view) {
-            Some((_, group)) => group.push(tx),
-            None => groups.push((tx.view.clone(), vec![tx])),
-        }
-    }
-    // Results are gathered here and filled only after the epoch-end
-    // sync: an autocommit client must never observe `Ok` before its
-    // record is durable under the configured policy.
-    let mut fills: Vec<(Arc<PendingTx>, TxResult)> = Vec::new();
-    let mut appended_any = false;
-    // Highest seq whose delta actually reached the engine (regardless
-    // of later durability failures — memory changed either way): the
-    // snapshot publication tag.
-    let mut max_applied: Option<u64> = None;
-    for (view, group) in groups {
-        let coalesced: Vec<DmlStatement> = group
-            .iter()
-            .flat_map(|tx| tx.statements.iter().cloned())
-            .collect();
-        // Derive the net delta, keep a copy for the WAL (durable
-        // services only — the in-memory hot path pays no clone), apply
-        // it. The derived delta is normalized against the in-lock view
-        // state, so it is byte-for-byte the delta that gets applied —
-        // the exact replay-log entry.
-        let net = engine.derive_delta(&view, &coalesced).and_then(|delta| {
-            let log_copy = wal
-                .is_some()
-                .then(|| delta.clone())
-                .filter(|d| !d.is_empty());
-            engine
-                .apply_delta(&view, delta)
-                .map(|stats| (log_copy, stats))
-        });
-        match net {
-            Ok((log_copy, stats)) => {
-                let seqs: Vec<u64> = group
-                    .iter()
-                    .map(|_| commit_seq.fetch_add(1, Ordering::SeqCst) + 1)
-                    .collect();
-                max_applied = seqs.last().copied().or(max_applied);
-                let logged = match (wal, log_copy) {
-                    // An empty net delta (`log_copy` filtered to None)
-                    // has no durable effect and is not logged — matching
-                    // the batch-commit path; such a transaction's seq is
-                    // not persisted (see `Service::commits`).
-                    (Some(wal), Some(delta)) => wal
-                        .append(&WalRecord::Commit {
-                            seqs: seqs.clone(),
-                            deltas: vec![(view.clone(), delta)],
-                        })
-                        .map(|()| {
-                            appended_any = true;
-                        }),
-                    _ => Ok(()),
-                };
-                for (tx, seq) in group.into_iter().zip(seqs) {
-                    let result = match &logged {
-                        Ok(()) => Ok((seq, stats.clone())),
-                        Err(e) => Err(e.clone()),
-                    };
-                    fills.push((tx, result));
-                }
-            }
-            Err(_) if group.len() > 1 => {
-                // The coalesced epoch was rejected; preserve
-                // per-transaction semantics by replaying individually
-                // (each successful member logged as its own record).
-                for tx in group {
-                    let net = engine
-                        .derive_delta(&tx.view, &tx.statements)
-                        .and_then(|delta| {
-                            let log_copy = wal
-                                .is_some()
-                                .then(|| delta.clone())
-                                .filter(|d| !d.is_empty());
-                            engine
-                                .apply_delta(&tx.view, delta)
-                                .map(|stats| (log_copy, stats))
-                        });
-                    match net {
-                        Ok((log_copy, stats)) => {
-                            let seq = commit_seq.fetch_add(1, Ordering::SeqCst) + 1;
-                            max_applied = Some(seq);
-                            let logged = match (wal, log_copy) {
-                                (Some(wal), Some(delta)) => wal
-                                    .append(&WalRecord::Commit {
-                                        seqs: vec![seq],
-                                        deltas: vec![(tx.view.clone(), delta)],
-                                    })
-                                    .map(|()| {
-                                        appended_any = true;
-                                    }),
-                                _ => Ok(()),
-                            };
-                            let result = match logged {
-                                Ok(()) => Ok((seq, stats)),
-                                Err(e) => Err(e),
-                            };
-                            fills.push((tx, result));
-                        }
-                        Err(e) => fills.push((tx, Err(ServiceError::Engine(e)))),
-                    }
-                }
-            }
-            Err(e) => {
-                // Single-member group: the net path *is* the individual
-                // path (derive + normalize + apply); report its error.
-                for tx in group {
-                    fills.push((tx, Err(ServiceError::Engine(e.clone()))));
-                }
-            }
-        }
-    }
-    // Epoch-end sync: one fdatasync covers every record this epoch
-    // appended (the group-commit durability amortization). If it fails,
-    // no member is acknowledged.
-    if let Some(wal) = wal {
-        if appended_any {
-            if let Err(e) = wal.sync_epoch() {
-                for (_, result) in &mut fills {
-                    if result.is_ok() {
-                        *result = Err(e.clone());
-                    }
-                }
-            }
-        }
-    }
-    // Publish before filling: a member must find its own write on the
-    // lock-free read path the moment it learns it committed.
-    if let Some(seq) = max_applied {
-        publish(engine, seq);
-    }
-    for (tx, result) in fills {
-        tx.fill(result);
     }
 }

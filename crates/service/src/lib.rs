@@ -16,16 +16,22 @@
 //!   in parallel. A global commit sequence still numbers every
 //!   transaction: the concurrent history remains equivalent to its
 //!   serial replay in commit order.
+//! * `commit` *(internal)* — **the one commit pipeline**. Autocommit
+//!   epochs, session batches and view registrations all go through a
+//!   single derive → apply → log → sync → publish → acknowledge bracket
+//!   with one post-commit hook; the epoch is the unit of ordering,
+//!   durability and visibility, and a batch is an epoch with one member.
 //! * [`group_commit`] — autocommit transactions queue per shard and the
-//!   first submitter to win the shard lock applies the whole epoch as
-//!   one *net* delta per view, giving batch-level throughput to clients
-//!   that never call `begin`/`commit` (Obladi-style epochs; an optional
-//!   window trades latency for epoch depth).
+//!   first submitter to win the shard lock leads the whole queue through
+//!   the pipeline as one epoch (one *net* delta per view), giving
+//!   batch-level throughput to clients that never call `begin`/`commit`
+//!   (Obladi-style epochs; an optional window trades latency for epoch
+//!   depth).
 //! * [`snapshot`] — **MVCC snapshot reads**. Every commit publishes an
 //!   immutable, `Arc`-shared image of each shard it touched (copy-on-
 //!   write at the tuple-set level, so only touched relations are
 //!   rebuilt), tagged with the shard's high-water commit seq. All reads
-//!   — [`Service::query`], [`Service::read`], [`Service::snapshot`],
+//!   — [`Service::query`], [`Service::snapshot`],
 //!   stats — run lock-free against those images: readers never wait for
 //!   writers, writers never wait for readers, and a pinned
 //!   [`ServiceSnapshot`] stays commit-seq-consistent for as long as the
@@ -86,6 +92,7 @@
 //!
 //! [`LockId`]: locks::LockId
 
+mod commit;
 mod conn;
 pub mod error;
 pub mod footprint;

@@ -42,6 +42,20 @@
 //! serialize on the registration lock; checkpoints freeze the
 //! registration set for their whole duration by taking that lock too.
 //!
+//! ## The commit pipeline
+//!
+//! This module owns the *entry points* — [`Session::execute`]
+//! (autocommit, via the shard's group-commit queue),
+//! [`Session::commit`] (a batch: an epoch with one member) and
+//! [`Service::register_view`] / [`Service::unregister_view`] (an epoch
+//! whose record is a topology change) — plus lock acquisition, snapshot
+//! publication and the post-commit hook (`Service::settle`: checkpoint
+//! accounting, emergency heal). What happens *between* taking the locks
+//! and releasing them — derive → apply → one seq per member → log →
+//! one epoch sync → publish → acknowledge — is written exactly once, in
+//! `crate::commit`; all three entry points go through its
+//! log-then-sync helper and through `settle`.
+//!
 //! ## Invariants
 //!
 //! * **Commit-seq assignment**: seqs come from one global counter,
@@ -59,15 +73,15 @@
 //!   with the registration's seq) *before* the topology swap, so both
 //!   generations are consistent cuts at every instant.
 //! * **Durability coupling**: on a durable service, no result slot is
-//!   filled until the epoch-end fsync ran (see [`crate::group_commit`]),
-//!   and a registration is installed only after its
-//!   [`WalRecord::Register`] reached the log.
+//!   filled until the epoch-end fsync ran, and a registration is
+//!   installed only after its [`WalRecord::Register`] reached the log —
+//!   the same log-then-sync step in both cases.
 //!
 //! ## Read path
 //!
 //! Reads never touch the shard engine locks: [`Service::query`],
 //! [`Service::relation_stats`], [`Service::view_names`] and
-//! [`Service::read`]/[`Service::snapshot`] all work against the shards'
+//! [`Service::snapshot`] all work against the shards'
 //! published MVCC snapshots ([`crate::snapshot`]). A long analytical
 //! read holds an `Arc` to an immutable image; writers keep committing
 //! (each publication refreshes a shadow buffer, never the pinned one)
@@ -76,17 +90,19 @@
 //! Each client holds a [`Session`] in one of two modes:
 //!
 //! * **autocommit** (the default): every `execute` call is its own
-//!   transaction, routed through the target shard's group committer —
-//!   concurrent autocommit transactions on the same shard coalesce into
-//!   one net delta per view ([`crate::group_commit`]);
+//!   transaction, queued in the target shard's group committer
+//!   ([`crate::group_commit`]) — concurrent autocommit transactions on
+//!   the same shard become members of one epoch and coalesce into one
+//!   net delta per view;
 //! * **batch** (after `begin`): statements buffer locally — no lock
-//!   taken — until `commit` coalesces them into one *net* view delta per
-//!   view and applies each in a single incremental pass, locking exactly
-//!   the shards its views live in.
+//!   taken — until `commit` submits them as a one-member epoch over
+//!   exactly the shards its views live in: one *net* delta per view,
+//!   each applied in a single incremental pass.
 
+use crate::commit::{EpochWal, ShardGuards};
 use crate::error::{ServiceError, ServiceResult};
 use crate::footprint::{partition, ShardMap};
-use crate::group_commit::{EpochWal, GroupCommitter, PendingTx};
+use crate::group_commit::{GroupCommitter, PendingTx, TxResult};
 use crate::locks::{LockId, LockManager};
 use crate::snapshot::{ServiceSnapshot, ShardSnapshot, SnapshotCell};
 use birds_core::UpdateStrategy;
@@ -94,7 +110,7 @@ use birds_engine::{
     strategy_touches, Engine, EngineError, ExecutionStats, StrategyMode, ViewDefinition,
 };
 use birds_sql::{parse_script, DmlStatement};
-use birds_store::{Database, Delta, Relation, RelationVersion, Tuple};
+use birds_store::{Database, Relation, RelationVersion, Tuple};
 use birds_wal::{
     FsyncPolicy, Registration, SegmentWriter, ViewDef, WalRecord, DEFAULT_SEGMENT_BYTES,
 };
@@ -196,7 +212,7 @@ struct WalState {
 /// All five vectors are indexed by [`LockId`]; a retired slot (its
 /// engine merged away by a re-shard that didn't reuse the index) holds
 /// `None` forever and is never routed to.
-struct Topology {
+pub(crate) struct Topology {
     /// One engine component (and one reader-writer lock) per footprint
     /// shard; slot order is [`LockId`] order. `None` marks a retired
     /// slot — a stale thread that finds it reloads the topology.
@@ -215,6 +231,21 @@ struct Topology {
     /// Shared across generations so a surviving shard's log continues
     /// seamlessly through a re-shard.
     writers: Vec<Arc<Mutex<SegmentWriter>>>,
+}
+
+impl Topology {
+    /// Among the held `guards`, the slot of the shard owning `relation`.
+    pub(crate) fn held_slot<'s>(
+        &self,
+        guards: &'s mut ShardGuards<'_>,
+        relation: &str,
+    ) -> &'s mut Option<Engine> {
+        let shard = self.route.shard_of(relation);
+        guards
+            .iter_mut()
+            .find_map(|(id, slot)| (Some(*id) == shard).then_some(&mut **slot))
+            .expect("the held lock set covers the relation's shard")
+    }
 }
 
 struct ServiceInner {
@@ -244,15 +275,6 @@ struct ServiceInner {
     config: ServiceConfig,
     /// `Some` when the service is durable ([`Service::open`]).
     wal: Option<WalState>,
-}
-
-/// Why a successor topology could not be installed.
-enum InstallError {
-    /// Nothing was installed and nothing durable was written; the merged
-    /// engine (mutation already reverted by the caller) comes back for
-    /// reseating into the still-held guards. Boxed: the error path
-    /// carries a whole engine, the `Ok` path should stay thin.
-    Aborted(Box<Engine>, ServiceError),
 }
 
 /// Convert an engine-side view definition into its WAL form.
@@ -494,36 +516,24 @@ impl Service {
         durability: Option<DurabilityConfig>,
     ) -> ServiceResult<Service> {
         let mut start_seq = 0u64;
-        let durability = match durability {
-            None => None,
-            Some(d) => {
-                let recovery = birds_wal::recover(&d.data_dir)
-                    .map_err(|e| ServiceError::Durability(e.to_string()))?;
-                if let Some(body) = &recovery.snapshot {
-                    if body.starts_with(&birds_engine::SNAPSHOT_MAGIC) {
-                        // Pre-manifest snapshot (written before dynamic
-                        // registration existed): the caller's engine
-                        // defines the view set, as it always did.
-                        engine.restore(&body[..])?;
-                    } else {
-                        let (defs, consumed) = birds_wal::decode_view_defs(body).map_err(|e| {
-                            ServiceError::Durability(format!("checkpoint manifest: {e}"))
-                        })?;
-                        reconcile_views(&mut engine, &defs)?;
-                        engine.restore(&body[consumed..])?;
-                    }
-                }
-                for record in recovery.records {
-                    replay_record(&mut engine, record)?;
-                }
-                start_seq = recovery.max_seq;
-                // Replay can grow relations far past the sizes the
-                // snapshot restore planned against; drop those plans so
-                // the first post-recovery evaluation sees real sizes.
-                engine.clear_plan_cache();
-                Some(d)
+        if let Some(d) = &durability {
+            let recovery = birds_wal::recover(&d.data_dir)
+                .map_err(|e| ServiceError::Durability(e.to_string()))?;
+            if let Some(body) = &recovery.snapshot {
+                let (defs, consumed) = birds_wal::decode_view_defs(body)
+                    .map_err(|e| ServiceError::Durability(format!("checkpoint manifest: {e}")))?;
+                reconcile_views(&mut engine, &defs)?;
+                engine.restore(&body[consumed..])?;
             }
-        };
+            for record in recovery.records {
+                replay_record(&mut engine, record)?;
+            }
+            start_seq = recovery.max_seq;
+            // Replay can grow relations far past the sizes the snapshot
+            // restore planned against; drop those plans so the first
+            // post-recovery evaluation sees real sizes.
+            engine.clear_plan_cache();
+        }
         let (components, route) = partition(engine);
         let shard_count = components.len();
         let (wal, writers) = match durability {
@@ -551,7 +561,7 @@ impl Service {
             }
         };
         let committers = (0..shard_count)
-            .map(|_| Arc::new(GroupCommitter::new()))
+            .map(|_| Arc::new(GroupCommitter::default()))
             .collect();
         let shards = LockManager::new(components.into_iter().map(Some).collect());
         // Initial snapshot publication: every shard's image as of the
@@ -672,28 +682,6 @@ impl Service {
         }
     }
 
-    /// Run a closure against a consistent whole-service snapshot — a
-    /// convenience over [`Service::snapshot`] for callers that don't
-    /// need to pin the image past the closure. Entirely lock-free:
-    /// in-flight commits proceed, and the closure sees none of them.
-    ///
-    /// ```
-    /// # use birds_engine::Engine;
-    /// # use birds_service::Service;
-    /// # use birds_store::{tuple, Database, Relation, Value};
-    /// # let mut db = Database::new();
-    /// # db.add_relation(Relation::with_tuples("r", 2, vec![tuple![1, 2]]).unwrap()).unwrap();
-    /// # let service = Service::new(Engine::new(db));
-    /// let arity = service.read(|snapshot| {
-    ///     assert_eq!(snapshot.relations().count(), 1);
-    ///     snapshot.relation("r").unwrap().arity()
-    /// });
-    /// assert_eq!(arity, 2);
-    /// ```
-    pub fn read<R>(&self, f: impl FnOnce(&ServiceSnapshot) -> R) -> R {
-        f(&self.snapshot())
-    }
-
     /// Sorted snapshot of a relation's tuples, read lock-free from the
     /// owning shard's published snapshot.
     /// [`ServiceError::UnknownRelation`] for names no shard owns.
@@ -787,34 +775,6 @@ impl Service {
         })
     }
 
-    /// Bench hook: the pre-MVCC read path — acquire the owning shard's
-    /// read lock and copy the live relation. Kept (hidden) so the
-    /// reader/writer-interference benchmark can measure the locked
-    /// baseline against the lock-free [`Service::query`].
-    #[doc(hidden)]
-    pub fn debug_query_locked(&self, relation: &str) -> ServiceResult<Vec<Tuple>> {
-        loop {
-            let topo = self.topology();
-            let shard = topo
-                .route
-                .shard_of(relation)
-                .ok_or_else(|| ServiceError::UnknownRelation(relation.to_owned()))?;
-            let slot = topo.shards.read(shard);
-            let Some(engine) = slot.as_ref() else {
-                // Raced a live re-shard into a retired slot: reload.
-                drop(slot);
-                std::thread::yield_now();
-                continue;
-            };
-            let rel = engine
-                .relation(relation)
-                .ok_or_else(|| ServiceError::UnknownRelation(relation.to_owned()))?;
-            let mut tuples: Vec<Tuple> = rel.iter().cloned().collect();
-            tuples.sort();
-            return Ok(tuples);
-        }
-    }
-
     /// Test hook: drain the engines' shared read-trace sink (enable it
     /// with [`Engine::set_read_trace`] before constructing the
     /// service). All shards share one sink `Arc`, so draining any live
@@ -832,14 +792,6 @@ impl Service {
         BTreeSet::new()
     }
 
-    /// Publish `shard`'s current image at high-water seq `commit_seq`.
-    /// Must be called while the shard's write lock is held (the `engine`
-    /// reference is the proof), so publications are ordered like
-    /// commits.
-    fn publish_shard(&self, topo: &Topology, shard: LockId, engine: &mut Engine, commit_seq: u64) {
-        topo.cells[shard.index()].publish(ShardSnapshot::capture(engine, commit_seq));
-    }
-
     /// Publish every shard in a batch commit's footprint. With a new
     /// seq (`Some`) the shards' high-water advances to it; with `None`
     /// (the no-seq in-memory error path) each shard republishes its
@@ -847,10 +799,10 @@ impl Service {
     /// publications serialize on `publication_lock` and bracket with
     /// the publication seqlock so a concurrent [`Service::snapshot`]
     /// never assembles half of one.
-    fn publish_guarded(
+    pub(crate) fn publish_guarded(
         &self,
         topo: &Topology,
-        guards: &mut [(LockId, RwLockWriteGuard<'_, Option<Engine>>)],
+        guards: &mut ShardGuards<'_>,
         seq: Option<u64>,
     ) {
         let multi = guards.len() > 1;
@@ -872,7 +824,7 @@ impl Service {
         for (id, slot) in guards.iter_mut() {
             let publish_seq = seq.unwrap_or_else(|| topo.cells[id.index()].load().commit_seq());
             let engine = slot.as_mut().expect("commit holds live slots");
-            self.publish_shard(topo, *id, engine, publish_seq);
+            topo.cells[id.index()].publish(ShardSnapshot::capture(engine, publish_seq));
         }
         if multi {
             // Even: done.
@@ -922,7 +874,7 @@ impl Service {
         }
     }
 
-    fn next_commit_seq(&self) -> u64 {
+    pub(crate) fn next_commit_seq(&self) -> u64 {
         // Assigned while the commit's footprint is write-locked (or, for
         // empty commits, without any state change to order against), so
         // per-shard sequence order matches application order and the
@@ -933,94 +885,91 @@ impl Service {
     /// Autocommit one transaction through the target shard's group
     /// committer: enqueue, optionally park for the epoch window, then
     /// contend for epoch leadership until the result slot fills.
-    fn submit_autocommit(
-        &self,
-        view: String,
-        statements: Vec<DmlStatement>,
-    ) -> ServiceResult<(u64, ExecutionStats)> {
-        let tx = PendingTx::new(view, statements);
-        let mut topo = self.topology();
-        let mut shard = loop {
+    fn submit_autocommit(&self, view: String, statements: Vec<DmlStatement>) -> TxResult {
+        let tx = PendingTx::new(vec![(view, statements)]);
+        loop {
+            let topo = self.topology();
             let Some(shard) = topo.route.shard_of(tx.view()) else {
                 return Err(ServiceError::Engine(EngineError::NotAView(
                     tx.view().to_owned(),
                 )));
             };
             if topo.committers[shard.index()].enqueue(Arc::clone(&tx))? {
-                break shard;
+                break;
             }
             // The committer was closed by a live re-shard that raced our
             // topology load; reload and enqueue in the successor.
             std::thread::yield_now();
-            topo = self.topology();
-        };
+        }
         let window = self.inner.config.epoch_window;
-        let mut result = None;
         if !window.is_zero() {
             // Epoch window: park so concurrent submitters can join this
             // epoch; the sleeps of parked submitters overlap, so offered
             // concurrency turns into epoch depth.
             std::thread::sleep(window);
-            result = tx.take_result()?;
         }
-        let result = match result {
-            Some(result) => result,
-            None => loop {
-                let mut stale = false;
-                {
-                    let mut slot = topo.shards.write(shard);
-                    match slot.as_mut() {
-                        Some(engine) => {
-                            let epoch = topo.committers[shard.index()].drain()?;
-                            if !epoch.is_empty() {
-                                let epoch_wal = self.inner.wal.as_ref().map(|wal| EpochWal {
-                                    writer: &topo.writers[shard.index()],
-                                    fsync: wal.fsync,
-                                });
-                                crate::group_commit::process_epoch(
-                                    engine,
-                                    &self.inner.commit_seq,
-                                    epoch,
-                                    epoch_wal.as_ref(),
-                                    // Single-shard publication: no seqlock
-                                    // bracket needed (see `publication_seq`).
-                                    |engine, seq| self.publish_shard(&topo, shard, engine, seq),
-                                );
-                            }
-                        }
-                        // The shard was retired by a live re-shard while
-                        // we blocked on its lock; the registrar migrated
-                        // (or failed) our queued transaction.
-                        None => stale = true,
-                    }
-                }
-                if stale {
-                    topo = self.topology();
-                    if let Some(successor) = topo.route.shard_of(tx.view()) {
-                        shard = successor;
-                    }
-                    // An unroutable view means an unregister raced us;
-                    // the registrar failed our transaction, so the next
-                    // `take_result` breaks out.
-                }
-                if let Some(result) = tx.take_result()? {
-                    break result;
-                }
-                // Not filled and the queue was empty: another leader
-                // drained our transaction and is mid-epoch; loop and
-                // re-check (the next lock acquisition blocks until that
-                // epoch finishes).
-            },
+        self.lead_epoch(&tx, true)
+    }
+
+    /// Drive `tx` to completion as the leader of an epoch over its lock
+    /// set: the owning shard of every target view, write-locked in
+    /// global id order (deadlock-free; commits on disjoint shards don't
+    /// contend at all). A `queued` (autocommit) transaction leads
+    /// whatever its shard's group committer holds at that moment; a
+    /// session batch is an epoch with one member — itself.
+    fn lead_epoch(&self, tx: &Arc<PendingTx>, queued: bool) -> TxResult {
+        loop {
+            // Topology first: whoever filled the result did so before
+            // any re-shard this load can observe swapped in.
+            let topo = self.topology();
+            if let Some(result) = tx.take_result()? {
+                return result;
+            }
+            let views = tx.groups().iter().map(|(view, _)| view.as_str());
+            let guards = topo.shards.write_set(topo.route.lock_set(views)?);
+            if guards.iter().any(|(_, slot)| slot.is_none()) {
+                // A live re-shard retired the generation while we
+                // blocked (migrating or failing whatever was queued):
+                // reload the topology and re-resolve.
+                drop(guards);
+                std::thread::yield_now();
+                continue;
+            }
+            let members = if queued {
+                // Empty when another leader drained our transaction: it
+                // filled the result before releasing the lock we hold.
+                topo.committers[guards[0].0.index()].drain()?
+            } else {
+                vec![Arc::clone(tx)]
+            };
+            if !members.is_empty() {
+                self.commit_epoch(&topo, guards, &members);
+            }
+        }
+    }
+
+    /// The durability hookup for an epoch whose lowest locked shard is
+    /// `shard` (`None` on an in-memory service).
+    pub(crate) fn epoch_wal<'t>(&self, topo: &'t Topology, shard: LockId) -> Option<EpochWal<'t>> {
+        self.inner.wal.as_ref().map(|wal| EpochWal {
+            writer: &topo.writers[shard.index()],
+            fsync: wal.fsync,
+        })
+    }
+
+    /// The one post-commit hook, run with no locks held by every entry
+    /// point of the commit pipeline: `Ok(n)` — `n` commit seqs became
+    /// durable — feeds the checkpoint threshold; a durability failure
+    /// triggers the emergency heal.
+    pub(crate) fn settle(&self, durable_seqs: ServiceResult<u64>) {
+        let Some(wal) = &self.inner.wal else {
+            return;
         };
-        // Every member counts toward the checkpoint threshold — leaders
-        // and window-parked followers alike (a follower returning early
-        // must not let the WAL outgrow `checkpoint_every`).
-        match &result {
-            Ok(_) => self.after_durable_commit(1),
-            Err(ServiceError::Durability(_)) => self.heal_after_durability_failure(),
+        match durable_seqs {
+            Ok(n) => self.after_durable_commit(wal, n),
+            Err(ServiceError::Durability(_)) => self.heal_after_durability_failure(wal),
             Err(_) => {}
         }
-        result
     }
 
     /// Best-effort self-heal after a commit failed durably. A WAL
@@ -1037,10 +986,7 @@ impl Service {
     /// attempts keep failing fast (throttled logging); a manual
     /// [`Service::checkpoint`] (or the protocol's `{"op":"checkpoint"}`)
     /// is the operator-driven alternative.
-    fn heal_after_durability_failure(&self) {
-        let Some(wal) = &self.inner.wal else {
-            return;
-        };
+    fn heal_after_durability_failure(&self, wal: &WalState) {
         let topo = self.topology();
         let any_sealed = topo.writers.iter().any(|writer| {
             writer
@@ -1077,10 +1023,7 @@ impl Service {
     /// Bump the checkpoint counter after `n` durable commits and run an
     /// automatic checkpoint when the threshold is crossed. Called with
     /// no shard locks held (checkpointing takes them all).
-    fn after_durable_commit(&self, n: u64) {
-        let Some(wal) = &self.inner.wal else {
-            return;
-        };
+    fn after_durable_commit(&self, wal: &WalState, n: u64) {
         let Some(every) = wal.checkpoint_every else {
             return;
         };
@@ -1299,23 +1242,7 @@ impl Service {
         mode: StrategyMode,
         quiesce_hook: impl FnOnce(),
     ) -> ServiceResult<u64> {
-        let result = {
-            let _registrar = self
-                .inner
-                .registration_lock
-                .lock()
-                .map_err(|_| ServiceError::Poisoned("registration lock".into()))?;
-            self.register_view_locked(strategy, mode, quiesce_hook)
-        };
-        // Registration consumed a durable commit seq; run the same
-        // post-commit bookkeeping as the write paths (checkpoint
-        // threshold, emergency heal) with no locks held.
-        match &result {
-            Ok(_) => self.after_durable_commit(1),
-            Err(ServiceError::Durability(_)) => self.heal_after_durability_failure(),
-            Err(_) => {}
-        }
-        result
+        self.registration(|| self.register_view_locked(strategy, mode, quiesce_hook))
     }
 
     /// Deregister a live view: its materialized contents are dropped,
@@ -1326,19 +1253,22 @@ impl Service {
     /// footprint still depends on this one (the error carries the
     /// dependent view's name). Returns the deregistration's commit seq.
     pub fn unregister_view(&self, view: &str) -> ServiceResult<u64> {
+        self.registration(|| self.unregister_view_locked(view))
+    }
+
+    /// Run one topology change under the registration lock, then — with
+    /// no locks held — the pipeline's post-commit hook: a registration
+    /// consumes one durable commit seq, like any one-member epoch.
+    fn registration(&self, change: impl FnOnce() -> ServiceResult<u64>) -> ServiceResult<u64> {
         let result = {
             let _registrar = self
                 .inner
                 .registration_lock
                 .lock()
                 .map_err(|_| ServiceError::Poisoned("registration lock".into()))?;
-            self.unregister_view_locked(view)
+            change()
         };
-        match &result {
-            Ok(_) => self.after_durable_commit(1),
-            Err(ServiceError::Durability(_)) => self.heal_after_durability_failure(),
-            Err(_) => {}
-        }
+        self.settle(result.clone().map(|_| 1));
         result
     }
 
@@ -1396,16 +1326,14 @@ impl Service {
         // shard owns are impossible here (sources were checked; the
         // view name is fresh and joins whatever shard the merge lands
         // in).
-        let mut affected: Vec<LockId> = strategy_touches(&strategy, &get)
+        let affected: Vec<LockId> = strategy_touches(&strategy, &get)
             .iter()
             .filter_map(|relation| topo.route.shard_of(relation))
             .collect();
-        affected.sort();
-        affected.dedup();
-        // Quiesce: write-lock exactly the affected shards (ascending —
-        // deadlock-free against every commit). Disjoint shards are
-        // untouched and keep committing.
-        let mut guards = topo.shards.write_set(affected.clone());
+        // Quiesce: write-lock exactly the affected shards (deduplicated,
+        // ascending — deadlock-free against every commit). Disjoint
+        // shards are untouched and keep committing.
+        let mut guards = topo.shards.write_set(affected);
         quiesce_hook();
         let components: Vec<Engine> = guards
             .iter_mut()
@@ -1426,35 +1354,30 @@ impl Service {
         let def = merged
             .view_definition(&name)
             .expect("freshly registered view has a definition");
-        let seq = self.next_commit_seq();
-        let record = WalRecord::Register(Box::new(Registration {
-            seq,
-            def: def_to_wal(&def),
-        }));
-        match self.install_successor(&topo, &affected, merged, seq, &record) {
-            Ok(()) => Ok(seq),
-            Err(InstallError::Aborted(mut merged, e)) => {
+        let def = def_to_wal(&def);
+        self.install_successor(
+            &topo,
+            &mut guards,
+            merged,
+            |seq| WalRecord::Register(Box::new(Registration { seq, def })),
+            |merged| {
                 merged
                     .unregister_view(&name)
-                    .expect("aborted registration unwinds cleanly");
-                self.reseat(&topo, &mut guards, *merged);
-                Err(e)
-            }
-        }
+                    .expect("aborted registration unwinds cleanly")
+            },
+        )
     }
 
     fn unregister_view_locked(&self, view: &str) -> ServiceResult<u64> {
         let topo = self.topology();
-        let Some(shard) = topo.route.shard_of(view) else {
+        // Pre-check against the published catalogue, like registration:
+        // the registration lock keeps it current until we quiesce.
+        let is_view = |shard: &LockId| topo.cells[shard.index()].load().is_view(view);
+        let Some(shard) = topo.route.shard_of(view).filter(is_view) else {
             return Err(ServiceError::Engine(EngineError::NotAView(view.to_owned())));
         };
         let mut guards = topo.shards.write_set(vec![shard]);
         let mut merged = guards[0].1.take().expect("routed shards are live");
-        if !merged.is_view(view) {
-            let err = ServiceError::Engine(EngineError::NotAView(view.to_owned()));
-            self.reseat(&topo, &mut guards, merged);
-            return Err(err);
-        }
         if let Some(dependent) = merged.dependent_view(view).map(String::from) {
             // Another view's footprint closure still reaches this one
             // (its get or putdelta reads it): dropping it would leave
@@ -1468,21 +1391,18 @@ impl Service {
         merged
             .unregister_view(view)
             .expect("pre-checked deregistration succeeds");
-        let seq = self.next_commit_seq();
-        let record = WalRecord::Unregister {
-            seq,
-            view: view.to_owned(),
-        };
-        match self.install_successor(&topo, &[shard], merged, seq, &record) {
-            Ok(()) => Ok(seq),
-            Err(InstallError::Aborted(mut merged, e)) => {
+        let view = view.to_owned();
+        self.install_successor(
+            &topo,
+            &mut guards,
+            merged,
+            |seq| WalRecord::Unregister { seq, view },
+            |merged| {
                 merged
                     .register_definition(&def)
-                    .expect("aborted deregistration unwinds cleanly");
-                self.reseat(&topo, &mut guards, *merged);
-                Err(e)
-            }
-        }
+                    .expect("aborted deregistration unwinds cleanly")
+            },
+        )
     }
 
     /// Put the components of `merged` back into the (still write-locked)
@@ -1490,12 +1410,7 @@ impl Service {
     /// Because the mutation was unwound first, the components re-split
     /// exactly like the original partition and land in their original
     /// slots.
-    fn reseat(
-        &self,
-        topo: &Topology,
-        guards: &mut [(LockId, RwLockWriteGuard<'_, Option<Engine>>)],
-        merged: Engine,
-    ) {
+    fn reseat(&self, topo: &Topology, guards: &mut ShardGuards<'_>, merged: Engine) {
         for component in merged.split_components() {
             let name = component
                 .database()
@@ -1503,99 +1418,84 @@ impl Service {
                 .next()
                 .expect("footprint components are non-empty")
                 .to_owned();
-            let id = topo
-                .route
-                .shard_of(&name)
-                .expect("reseated components match the live route");
-            let (_, slot) = guards
-                .iter_mut()
-                .find(|(guard_id, _)| *guard_id == id)
-                .expect("reseated components stay within the quiesced set");
+            let slot = topo.held_slot(guards, &name);
             debug_assert!(slot.is_none(), "reseat into a non-empty slot");
-            **slot = Some(component);
+            *slot = Some(component);
         }
     }
 
-    /// Build and swap in the successor topology: split `merged`, assign
-    /// shard ids (retired ids are reused in ascending order, overflow
-    /// gets fresh ids), log `record` to the WAL, publish the replacement
+    /// Build and swap in the successor topology — the registration's
+    /// pass through the commit bracket: take a commit seq, split
+    /// `merged`, assign shard ids (the retired ids — those of the held
+    /// `guards` — are reused in ascending order, overflow gets fresh
+    /// ids), log `record(seq)` to the WAL, publish the replacement
     /// shards' snapshots at `seq`, migrate the retired committers'
     /// queued transactions, and atomically store the new `Topology`.
+    /// Returns the seq.
     ///
     /// On failure (WAL segment open or record append) **nothing is
-    /// installed**: the caller gets the re-merged engine back to unwind
-    /// and reseat — installing a registration whose WAL record never
-    /// landed would strand every later commit on these shards behind a
-    /// record recovery cannot replay.
+    /// installed** and nothing durable was written: the re-merged engine
+    /// is `unwind`-ed back to its pre-call shape and reseated into the
+    /// still-held guards — installing a registration whose WAL record
+    /// never landed would strand every later commit on these shards
+    /// behind a record recovery cannot replay.
     fn install_successor(
         &self,
         topo: &Topology,
-        retired: &[LockId],
+        guards: &mut ShardGuards<'_>,
         merged: Engine,
-        seq: u64,
-        record: &WalRecord,
-    ) -> Result<(), InstallError> {
+        record: impl FnOnce(u64) -> WalRecord,
+        unwind: impl FnOnce(&mut Engine),
+    ) -> ServiceResult<u64> {
+        let retired: Vec<LockId> = guards.iter().map(|(id, _)| *id).collect();
+        let seq = self.next_commit_seq();
+        let record = record(seq);
         let components = merged.split_components();
         let old_len = topo.shards.len();
         // Ids for the new components: reuse the retired slots' indices
         // first (ascending), then extend past the current topology.
-        let mut new_ids: Vec<LockId> = Vec::with_capacity(components.len());
-        let mut reuse = retired.iter().copied();
-        let mut fresh = old_len..;
-        for _ in 0..components.len() {
-            new_ids.push(match reuse.next() {
-                Some(id) => id,
-                None => LockId::new(fresh.next().expect("usize range is unbounded")),
-            });
-        }
+        let fresh = (old_len..).map(LockId::new);
+        let new_ids: Vec<LockId> = retired
+            .iter()
+            .copied()
+            .chain(fresh)
+            .take(components.len())
+            .collect();
         let new_len = old_len.max(new_ids.last().map_or(0, |id| id.index() + 1));
         let mut writers = topo.writers.clone();
         if let Some(wal) = &self.inner.wal {
-            for index in writers.len()..new_len {
-                match SegmentWriter::open(&wal.data_dir, index, wal.segment_bytes) {
-                    Ok(writer) => writers.push(Arc::new(Mutex::new(writer))),
-                    Err(e) => {
-                        return Err(InstallError::Aborted(
-                            Box::new(
-                                Engine::merge(components)
-                                    .expect("components of one engine are disjoint"),
-                            ),
-                            ServiceError::Durability(format!(
-                                "opening wal segment for new shard: {e}"
-                            )),
-                        ))
-                    }
-                }
-            }
-            // Log the registration to the first retired shard's existing
-            // writer: its segment series already holds every earlier
-            // record of that shard, the shard's locks are held (no
-            // concurrent append), and seq exceeds every seq previously
-            // logged there — per-shard monotonicity is preserved. The
-            // record must be durable *before* the swap: after the swap,
-            // commits through the new view would be unreplayable without
-            // it.
-            let log_slot = retired[0];
-            let epoch_wal = EpochWal {
-                writer: &writers[log_slot.index()],
-                fsync: wal.fsync,
-            };
-            if let Err(e) = epoch_wal
-                .append(record)
-                .and_then(|()| epoch_wal.sync_epoch())
-            {
-                return Err(InstallError::Aborted(
-                    Box::new(
-                        Engine::merge(components).expect("components of one engine are disjoint"),
-                    ),
-                    e,
-                ));
+            let opened = (writers.len()..new_len).try_for_each(|index| {
+                let writer =
+                    SegmentWriter::open(&wal.data_dir, index, wal.segment_bytes).map_err(|e| {
+                        ServiceError::Durability(format!("opening wal segment for new shard: {e}"))
+                    })?;
+                writers.push(Arc::new(Mutex::new(writer)));
+                Ok(())
+            });
+            // Log the registration like any epoch's record — to the
+            // lowest locked (= first retired) shard's existing writer:
+            // its segment series already holds every earlier record of
+            // that shard, the shard's locks are held (no concurrent
+            // append), and seq exceeds every seq previously logged there
+            // — per-shard monotonicity is preserved. The record must be
+            // durable *before* the swap: after the swap, commits through
+            // the new view would be unreplayable without it.
+            let logged = opened.and_then(|()| {
+                self.epoch_wal(topo, retired[0])
+                    .map_or(Ok(()), |wal| wal.log(&[record]))
+            });
+            if let Err(e) = logged {
+                let mut merged =
+                    Engine::merge(components).expect("components of one engine are disjoint");
+                unwind(&mut merged);
+                self.reseat(topo, guards, merged);
+                return Err(e);
             }
         }
         // The successor route (built before the components move).
         let route = Arc::new(
             topo.route
-                .successor(retired, components.iter().zip(new_ids.iter().copied())),
+                .successor(&retired, components.iter().zip(new_ids.iter().copied())),
         );
         let mut replacements: BTreeMap<usize, Engine> = new_ids
             .iter()
@@ -1617,14 +1517,14 @@ impl Service {
                     seq,
                 ))));
                 slots.push(Arc::new(RwLock::new(Some(component))));
-                committers.push(Arc::new(GroupCommitter::new()));
+                committers.push(Arc::new(GroupCommitter::default()));
             } else if retired.iter().any(|id| id.index() == index) {
                 // Retired without replacement: the slot stays `None`
                 // forever (in this and all later generations unless a
                 // future re-shard reuses the index with fresh Arcs).
                 cells.push(Arc::new(SnapshotCell::new(ShardSnapshot::empty(seq))));
                 slots.push(Arc::new(RwLock::new(None)));
-                committers.push(Arc::new(GroupCommitter::new()));
+                committers.push(Arc::new(GroupCommitter::default()));
             } else if index < old_len {
                 // Survivor: same Arcs across generations — LockId
                 // identity is what keeps ascending lock order global.
@@ -1641,7 +1541,7 @@ impl Service {
         // carried over (or failed), never stranded. New submitters that
         // load the old topology after this find the committer closed and
         // reload.
-        for id in retired {
+        for id in &retired {
             for orphan in topo.committers[id.index()].close_and_drain() {
                 match route.shard_of(orphan.view()) {
                     Some(successor) => {
@@ -1671,7 +1571,7 @@ impl Service {
             Ok(mut current) => *current = successor,
             Err(poisoned) => *poisoned.into_inner() = successor,
         }
-        Ok(())
+        Ok(seq)
     }
 }
 
@@ -1823,150 +1723,14 @@ impl Session {
                 None => groups.push((stmt.table().to_owned(), vec![stmt])),
             }
         }
-        loop {
-            // The commit's footprint: the owning shard of every target
-            // view, write-locked in global id order (deadlock-free;
-            // commits on disjoint shards don't contend at all). A `None`
-            // slot means a live re-shard retired the generation while we
-            // blocked — reload the topology and re-resolve.
-            let topo = self.service.topology();
-            let lock_set = topo
-                .route
-                .lock_set(groups.iter().map(|(view, _)| view.as_str()))?;
-            let guards = topo.shards.write_set(lock_set);
-            if guards.iter().any(|(_, slot)| slot.is_none()) {
-                drop(guards);
-                std::thread::yield_now();
-                continue;
-            }
-            return self.commit_locked(&topo, guards, &groups, statement_count);
-        }
-    }
-
-    fn commit_locked(
-        &mut self,
-        topo: &Topology,
-        mut guards: Vec<(LockId, RwLockWriteGuard<'_, Option<Engine>>)>,
-        groups: &[(String, Vec<DmlStatement>)],
-        statement_count: usize,
-    ) -> ServiceResult<CommitOutcome> {
-        let inner = &self.service.inner;
-        let mut total = ExecutionStats::default();
-        // The applied per-view net deltas, in application order — the
-        // WAL record for this commit.
-        let mut applied: Vec<(String, Delta)> = Vec::new();
-        // Whether any delta reached an engine (`applied` only tracks
-        // loggable copies, so it misses in-memory and empty-net cases).
-        let mut any_applied = false;
-        let mut failure: Option<ServiceError> = None;
-        for (view, group) in groups {
-            let shard = topo
-                .route
-                .shard_of(view)
-                .expect("lock_set resolved every view");
-            let engine = guards
-                .iter_mut()
-                .find(|(id, _)| *id == shard)
-                .map(|(_, guard)| guard.as_mut().expect("commit holds live slots"))
-                .expect("footprint guards cover every target view");
-            // Derive against the in-lock state so earlier groups'
-            // cascades are visible, then apply in one pass. The derived
-            // delta is normalized against that same state, so it is
-            // exactly what gets applied — the replay-log entry (cloned
-            // only on durable services; the in-memory hot path applies
-            // by value).
-            let result = engine.derive_delta(view, group).and_then(|delta| {
-                let log_copy = inner
-                    .wal
-                    .is_some()
-                    .then(|| delta.clone())
-                    .filter(|d| !d.is_empty());
-                engine
-                    .apply_delta(view, delta)
-                    .map(|stats| (log_copy, stats))
-            });
-            match result {
-                Ok((log_copy, stats)) => {
-                    any_applied = true;
-                    total.view_delta_size += stats.view_delta_size;
-                    total.source_delta_size += stats.source_delta_size;
-                    total.cascades += stats.cascades;
-                    if let Some(delta) = log_copy {
-                        applied.push((view.clone(), delta));
-                    }
-                }
-                Err(e) => {
-                    failure = Some(ServiceError::Engine(e));
-                    break;
-                }
-            }
-        }
-        if let Some(e) = &failure {
-            if applied.is_empty() || inner.wal.is_none() {
-                // Nothing loggable: fail without a seq or a log record,
-                // exactly like the in-memory path always has. Earlier
-                // groups may still have applied (atomicity is per view),
-                // so republish the mutated state at each shard's
-                // *unchanged* high-water seq before the locks drop —
-                // the lock-free read path must keep matching memory.
-                if any_applied {
-                    self.service.publish_guarded(topo, &mut guards, None);
-                }
-                return Err(e.clone());
-            }
-        }
-        let commit_seq = self.service.next_commit_seq();
-        if let Some(wal) = &inner.wal {
-            if !applied.is_empty() {
-                // Log to the lowest-id locked shard (guards are
-                // ascending): every appender to that segment holds that
-                // shard's write lock, so the log stays append-ordered.
-                // Same append + epoch-sync discipline as the group
-                // committer's `EpochWal` — this one-record commit is its
-                // own epoch.
-                let epoch_wal = EpochWal {
-                    writer: &topo.writers[guards[0].0.index()],
-                    fsync: wal.fsync,
-                };
-                let logged = epoch_wal
-                    .append(&WalRecord::Commit {
-                        seqs: vec![commit_seq],
-                        deltas: applied,
-                    })
-                    .and_then(|()| epoch_wal.sync_epoch());
-                if let Err(e) = logged {
-                    // Applied in memory but not durably acknowledged:
-                    // the engine-level failure (if any) still wins the
-                    // error report; otherwise surface the WAL failure.
-                    // Memory did change, so publish before unlocking.
-                    self.service
-                        .publish_guarded(topo, &mut guards, Some(commit_seq));
-                    drop(guards);
-                    self.service.heal_after_durability_failure();
-                    return Err(failure.unwrap_or(e));
-                }
-            }
-        }
-        // Publish every locked shard at the new high-water seq — after
-        // the WAL append, before the locks drop and before the caller
-        // learns the outcome (read-your-writes on the lock-free path).
-        if any_applied {
-            self.service
-                .publish_guarded(topo, &mut guards, Some(commit_seq));
-        }
-        drop(guards);
-        match failure {
-            Some(e) => Err(e),
-            None => {
-                self.service.after_durable_commit(1);
-                Ok(CommitOutcome {
-                    commit_seq,
-                    statements: statement_count,
-                    views: groups.len(),
-                    stats: total,
-                })
-            }
-        }
+        let views = groups.len();
+        let (commit_seq, stats) = self.service.lead_epoch(&PendingTx::new(groups), false)?;
+        Ok(CommitOutcome {
+            commit_seq,
+            statements: statement_count,
+            views,
+            stats,
+        })
     }
 
     /// Discard the open batch, returning how many statements were
@@ -1986,16 +1750,22 @@ mod tests {
 
     /// The union-view strategy `v = r1 ∪ r2` over unary int sources.
     fn union_strategy() -> UpdateStrategy {
+        union_strategy_named("v")
+    }
+
+    fn union_strategy_named(view: &str) -> UpdateStrategy {
         UpdateStrategy::parse(
             DatabaseSchema::new()
                 .with(Schema::new("r1", vec![("a", SortKind::Int)]))
                 .with(Schema::new("r2", vec![("a", SortKind::Int)])),
-            Schema::new("v", vec![("a", SortKind::Int)]),
-            "
-            -r1(X) :- r1(X), not v(X).
-            -r2(X) :- r2(X), not v(X).
-            +r1(X) :- v(X), not r1(X), not r2(X).
-            ",
+            Schema::new(view, vec![("a", SortKind::Int)]),
+            &format!(
+                "
+                -r1(X) :- r1(X), not {view}(X).
+                -r2(X) :- r2(X), not {view}(X).
+                +r1(X) :- {view}(X), not r1(X), not r2(X).
+                "
+            ),
             None,
         )
         .unwrap()
@@ -2010,12 +1780,16 @@ mod tests {
         db
     }
 
-    fn union_service() -> Service {
+    fn union_engine() -> Engine {
         let mut engine = Engine::new(union_database());
         engine
             .register_view(union_strategy(), StrategyMode::Incremental)
             .unwrap();
-        Service::new(engine)
+        engine
+    }
+
+    fn union_service() -> Service {
+        Service::new(union_engine())
     }
 
     #[test]
@@ -2165,14 +1939,76 @@ mod tests {
         let service = union_service();
         // {v, r1, r2} is one footprint component.
         assert_eq!(service.shard_count(), 1);
-        service.read(|view| {
-            assert!(view.is_view("v"));
-            assert!(!view.is_view("r1"));
-            assert_eq!(view.view_names(), vec!["v".to_owned()]);
-            assert_eq!(view.relations().count(), 3);
-            assert_eq!(view.relation("r2").unwrap().len(), 2);
-            assert!(view.relation("nope").is_none());
-        });
+        let s = service.snapshot();
+        assert!(s.is_view("v"));
+        assert!(!s.is_view("r1"));
+        assert_eq!(s.view_names(), vec!["v".to_owned()]);
+        assert_eq!(s.relations().count(), 3);
+        assert_eq!(s.relation("r2").unwrap().len(), 2);
+        assert!(s.relation("nope").is_none());
+    }
+
+    // ---- the one commit pipeline: durability faults ----------------
+
+    /// A sealed-writer fault on each entry point of the pipeline —
+    /// autocommit, batch, registration — surfaces as `Durability` and
+    /// makes the shared post-commit hook attempt exactly one heal.
+    ///
+    /// The rig: with one-byte segments every append past the first
+    /// rotates, and the next segment's name is already taken (rotation
+    /// opens with `create_new`), so the append fails for real and seals
+    /// the writer; `snapshot.bin` is a non-empty directory, so the
+    /// heal's checkpoint cannot rename its snapshot into place, the
+    /// writer stays sealed and the attempt is counted.
+    #[test]
+    fn sealed_writer_fails_every_entry_point_durably_and_heals_once() {
+        type EntryPoint = fn(&Service) -> ServiceResult<u64>;
+        let entry_points: [(&str, EntryPoint); 3] = [
+            ("autocommit", |service| {
+                let outcome = service.session().execute("INSERT INTO v VALUES (51);");
+                outcome.map(|_| 0)
+            }),
+            ("batch", |service| {
+                let mut session = service.session();
+                session.begin()?;
+                session.execute("INSERT INTO v VALUES (51);")?;
+                session.execute("INSERT INTO v VALUES (52);")?;
+                session.commit().map(|outcome| outcome.commit_seq)
+            }),
+            // A second union view over the same sources: same shard, so
+            // its `Register` record goes to the rigged writer.
+            ("register", |service| {
+                service.register_view(union_strategy_named("w"), StrategyMode::Incremental)
+            }),
+        ];
+        for (tag, entry_point) in entry_points {
+            let dir = std::env::temp_dir().join(format!(
+                "birds-service-seal-{tag}-{}-{:?}",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut durability = DurabilityConfig::new(&dir);
+            durability.segment_bytes = 1;
+            durability.checkpoint_every = None;
+            let service = Service::open(union_engine(), ServiceConfig::default(), durability);
+            let service = service.unwrap();
+            let mut session = service.session();
+            session.execute("INSERT INTO v VALUES (50);").unwrap();
+            std::fs::write(dir.join("wal").join("shard-0000.000001.wal"), b"taken").unwrap();
+            std::fs::create_dir_all(dir.join(birds_wal::SNAPSHOT_FILE).join("blocker")).unwrap();
+
+            let result = entry_point(&service);
+            assert!(
+                matches!(result, Err(ServiceError::Durability(_))),
+                "{tag}: expected a durability error, got {result:?}"
+            );
+            let wal = service.inner.wal.as_ref().unwrap();
+            assert_eq!(wal.heal_failures.load(Ordering::SeqCst), 1, "{tag}");
+            // No registration was installed; the topology is as it was.
+            assert_eq!(service.view_names(), vec!["v".to_owned()], "{tag}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     // ---- dynamic registration ------------------------------------

@@ -169,8 +169,7 @@ impl SnapshotCell {
 }
 
 /// A consistent, pinnable, lock-free view over every shard: what
-/// [`crate::Service::snapshot`] returns and [`crate::Service::read`]
-/// lends its closure.
+/// [`crate::Service::snapshot`] returns.
 ///
 /// Assembly takes no shard lock — it collects each shard's published
 /// `Arc` and retries (via the service's publication seqlock) only if a

@@ -10,7 +10,7 @@
 
 use birds_core::UpdateStrategy;
 use birds_engine::{Engine, StrategyMode};
-use birds_service::{DurabilityConfig, Service, ServiceConfig};
+use birds_service::{DurabilityConfig, Service, ServiceConfig, ServiceError};
 use birds_store::{tuple, Database, DatabaseSchema, Relation, Schema, SortKind, Tuple};
 use birds_wal::FsyncPolicy;
 use std::path::{Path, PathBuf};
@@ -395,6 +395,136 @@ fn automatic_checkpoints_bound_the_wal() {
     assert_eq!(recovered.commits(), 12);
     assert_eq!(sorted(&recovered, "v").len(), 3 + 12);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Regression: a multi-view batch that fails on its second view still
+/// logs its applied prefix — a WAL record under a durable seq — so it
+/// must count toward `checkpoint_every` like any other commit. A stream
+/// of such failures used to grow the WAL without bound.
+#[test]
+fn failed_batch_prefixes_count_toward_the_checkpoint_threshold() {
+    let dir = temp_dir("prefix-ck");
+    let expected_v0 = {
+        let service = Service::open(
+            disjoint_engine(2),
+            ServiceConfig::default(),
+            durable(&dir, FsyncPolicy::Epoch, Some(4)),
+        )
+        .unwrap();
+        let mut session = service.session();
+        for i in 0..4 {
+            session.begin().unwrap();
+            session
+                .execute(&format!("INSERT INTO v0 VALUES ({});", 600 + i))
+                .unwrap();
+            // `a1` is a base relation: the second group is rejected.
+            session.execute("INSERT INTO a1 VALUES (9);").unwrap();
+            assert!(session.commit().is_err(), "batch {i} fails on a1");
+        }
+        // Every failed batch consumed one durable seq for its prefix.
+        assert_eq!(service.commits(), 4);
+        sorted(&service, "v0")
+    };
+    assert_eq!(expected_v0.len(), 1 + 4, "the prefixes stayed applied");
+    assert!(
+        dir.join("snapshot.bin").exists(),
+        "four logged prefixes crossed checkpoint_every = 4"
+    );
+    let recovered = open(disjoint_engine(2), &dir, FsyncPolicy::Epoch);
+    assert_eq!(recovered.commits(), 4);
+    assert_eq!(sorted(&recovered, "v0"), expected_v0);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Raw bytes of every WAL segment under `dir`, in file-name order.
+fn wal_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut segments: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir.join("wal"))
+        .unwrap()
+        .map(|entry| {
+            let entry = entry.unwrap();
+            let name = entry.file_name().into_string().unwrap();
+            (name, std::fs::read(entry.path()).unwrap())
+        })
+        .collect();
+    segments.sort();
+    segments
+}
+
+/// One pipeline: the same single-view statements, run as one autocommit
+/// script and as one `begin … commit` batch on two fresh durable
+/// services, are the same epoch — one member, one net delta, one
+/// record. Both take seq 1, so the segments are byte-identical outright.
+#[test]
+fn autocommit_and_batch_write_identical_wal() {
+    const STATEMENTS: [&str; 4] = [
+        "INSERT INTO v VALUES (70);",
+        "INSERT INTO v VALUES (71);",
+        "DELETE FROM v WHERE a = 70;",
+        "DELETE FROM v WHERE a = 2;",
+    ];
+    let (auto_dir, batch_dir) = (temp_dir("one-auto"), temp_dir("one-batch"));
+    {
+        let service = open(union_engine(), &auto_dir, FsyncPolicy::Epoch);
+        service.session().execute(&STATEMENTS.concat()).unwrap();
+        assert_eq!(service.commits(), 1);
+    }
+    {
+        let service = open(union_engine(), &batch_dir, FsyncPolicy::Epoch);
+        let mut session = service.session();
+        session.begin().unwrap();
+        for statement in STATEMENTS {
+            session.execute(statement).unwrap();
+        }
+        assert_eq!(session.commit().unwrap().commit_seq, 1);
+    }
+    let (auto_wal, batch_wal) = (wal_bytes(&auto_dir), wal_bytes(&batch_dir));
+    assert!(auto_wal.iter().any(|(_, bytes)| bytes.len() > 16));
+    assert_eq!(auto_wal, batch_wal, "both entry points log the same epoch");
+
+    let auto = open(union_engine(), &auto_dir, FsyncPolicy::Epoch);
+    let batch = open(union_engine(), &batch_dir, FsyncPolicy::Epoch);
+    assert_eq!(sorted(&auto, "v"), vec![tuple![1], tuple![4], tuple![71]]);
+    for relation in ["v", "r1", "r2"] {
+        assert_eq!(sorted(&auto, relation), sorted(&batch, relation));
+    }
+    assert_eq!((auto.commits(), batch.commits()), (1, 1));
+    drop((auto, batch));
+    std::fs::remove_dir_all(&auto_dir).unwrap();
+    std::fs::remove_dir_all(&batch_dir).unwrap();
+}
+
+/// A `snapshot.bin` whose body does not lead with a registration
+/// manifest (here: a bare engine snapshot stream, and an empty body) is
+/// a typed durability error — never a panic, never a giant allocation.
+#[test]
+fn snapshot_without_a_manifest_is_a_typed_error() {
+    let bodies: [Vec<u8>; 2] = [
+        {
+            let mut bare = Vec::new();
+            union_engine().snapshot(&mut bare).unwrap();
+            bare
+        },
+        Vec::new(),
+    ];
+    for body in bodies {
+        let dir = temp_dir("no-manifest");
+        birds_wal::write_snapshot_file(&dir, 0, |w| w.write_all(&body)).unwrap();
+        let err = Service::open(
+            union_engine(),
+            ServiceConfig::default(),
+            durable(&dir, FsyncPolicy::Epoch, None),
+        )
+        .err()
+        .expect("a manifest-less snapshot must not open");
+        match err {
+            ServiceError::Durability(message) => assert!(
+                message.starts_with("checkpoint manifest: "),
+                "unexpected message: {message}"
+            ),
+            other => panic!("expected a durability error, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 #[test]

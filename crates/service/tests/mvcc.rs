@@ -296,3 +296,36 @@ fn held_write_lock_does_not_block_reads() {
         Err(birds_service::ServiceError::UnknownRelation(name)) if name == "no_such_relation"
     ));
 }
+
+/// The one seq-less visibility caveat (see `snapshot.rs`), pinned: on an
+/// **in-memory** service a multi-view batch that fails on its second
+/// view keeps its first view applied — atomicity is per view — and, with
+/// no WAL to log that prefix under a fresh seq, the mutated shard
+/// republishes at its *unchanged* high-water seq. The write is visible
+/// on the lock-free read path; no commit seq was consumed for it.
+#[test]
+fn failed_in_memory_batch_publishes_its_prefix_without_a_seq() {
+    let service = Service::new(disjoint_engine(2));
+    let mut session = service.session();
+    // One ordinary commit first, so "unchanged" is not just "zero".
+    session.execute("INSERT INTO v1 VALUES (5);").unwrap();
+    let before = service.snapshot();
+    assert_eq!(before.commit_seq(), 1);
+
+    session.begin().unwrap();
+    session.execute("INSERT INTO v0 VALUES (70);").unwrap();
+    // `zfree` is a base relation, not a view: the second group fails.
+    session.execute("INSERT INTO zfree VALUES (1);").unwrap();
+    assert!(session.commit().is_err());
+
+    // The failed batch's first view is visible …
+    assert!(service.query("v0").unwrap().contains(&tuple![70]));
+    let after = service.snapshot();
+    assert!(after.relation("a0").unwrap().contains(&tuple![70]));
+    // … yet no shard's commit seq moved and no seq was consumed.
+    assert_eq!(after.shard_seqs(), before.shard_seqs());
+    assert_eq!(after.commit_seq(), 1);
+    assert_eq!(service.commits(), 1);
+    // The pinned pre-failure image is untouched, as always.
+    assert!(!before.relation("a0").unwrap().contains(&tuple![70]));
+}

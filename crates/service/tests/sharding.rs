@@ -62,14 +62,13 @@ fn disjoint_views_get_disjoint_shards() {
     let service = Service::new(disjoint_engine(3));
     // 3 view components + the free-table singleton.
     assert_eq!(service.shard_count(), 4);
-    service.read(|view| {
-        for i in 0..3 {
-            assert!(view.is_view(&format!("v{i}")));
-        }
-        assert_eq!(view.relation("zfree").unwrap().len(), 1);
-        // 3 × (view + 2 sources) + zfree.
-        assert_eq!(view.relations().count(), 10);
-    });
+    let s = service.snapshot();
+    for i in 0..3 {
+        assert!(s.is_view(&format!("v{i}")));
+    }
+    assert_eq!(s.relation("zfree").unwrap().len(), 1);
+    // 3 × (view + 2 sources) + zfree.
+    assert_eq!(s.relations().count(), 10);
 }
 
 #[test]
@@ -172,10 +171,10 @@ fn reads_route_and_teardown_merges_all_shards() {
     // Single-shard read of a free table (its own singleton shard).
     assert_eq!(service.query("zfree").unwrap(), vec![tuple![99]]);
     // Whole-service snapshot sees every shard consistently.
-    service.read(|view| {
-        assert!(view.relation("a1").unwrap().contains(&tuple![55]));
-        assert_eq!(view.view_names(), vec!["v0".to_owned(), "v1".to_owned()]);
-    });
+    let s = service.snapshot();
+    assert!(s.relation("a1").unwrap().contains(&tuple![55]));
+    assert_eq!(s.view_names(), vec!["v0".to_owned(), "v1".to_owned()]);
+    drop(s);
     // Teardown merges the shards back into one engine.
     let engine = service.into_engine().ok().expect("sole owner");
     assert!(engine.is_view("v0") && engine.is_view("v1"));

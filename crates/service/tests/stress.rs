@@ -149,12 +149,11 @@ fn readers_never_observe_a_torn_view() {
             std::thread::spawn(move || {
                 let mut checks = 0usize;
                 while !stop.load(Ordering::Relaxed) {
-                    let (r1, r2, v) = service.read(|engine| {
-                        let snap = |name: &str| -> Vec<Tuple> {
-                            engine.relation(name).unwrap().iter().cloned().collect()
-                        };
-                        (snap("r1"), snap("r2"), snap("v"))
-                    });
+                    let s = service.snapshot();
+                    let snap = |name: &str| -> Vec<Tuple> {
+                        s.relation(name).unwrap().iter().cloned().collect()
+                    };
+                    let (r1, r2, v) = (snap("r1"), snap("r2"), snap("v"));
                     let mut union: Vec<&Tuple> = r1.iter().chain(r2.iter()).collect();
                     union.sort();
                     union.dedup();

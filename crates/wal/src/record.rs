@@ -214,7 +214,7 @@ fn put_schema(buf: &mut Vec<u8>, schema: &Schema) {
 fn get_schema(cur: &mut Cursor<'_>) -> WalResult<Schema> {
     let name = cur.get_str()?.to_owned();
     let attr_count = cur.get_u32()? as usize;
-    let mut attributes = Vec::with_capacity(attr_count);
+    let mut attributes = Vec::with_capacity(attr_count.min(cur.remaining()));
     for _ in 0..attr_count {
         let attr_name = cur.get_str()?.to_owned();
         let sort = sort_from_tag(cur.get_u8()?)?;
@@ -246,7 +246,7 @@ fn put_view_def(buf: &mut Vec<u8>, def: &ViewDef) {
 
 fn get_view_def(cur: &mut Cursor<'_>) -> WalResult<ViewDef> {
     let source_count = cur.get_u32()? as usize;
-    let mut sources = Vec::with_capacity(source_count);
+    let mut sources = Vec::with_capacity(source_count.min(cur.remaining()));
     for _ in 0..source_count {
         sources.push(get_schema(cur)?);
     }
@@ -296,7 +296,9 @@ pub fn encode_view_defs(defs: &[ViewDef]) -> Vec<u8> {
 pub fn decode_view_defs(bytes: &[u8]) -> WalResult<(Vec<ViewDef>, usize)> {
     let mut cur = Cursor::new(bytes);
     let count = cur.get_u32()? as usize;
-    let mut defs = Vec::with_capacity(count);
+    // The manifest is not CRC-framed: never trust its counts with an
+    // allocation (every element consumes at least one byte).
+    let mut defs = Vec::with_capacity(count.min(cur.remaining()));
     for _ in 0..count {
         defs.push(get_view_def(&mut cur)?);
     }
