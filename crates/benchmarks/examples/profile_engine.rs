@@ -12,7 +12,7 @@ fn main() {
         .unwrap_or(300_000);
     let view = Figure6View::from_name(&name).expect("known panel");
     let mut engine = view.engine(n, StrategyMode::Incremental);
-    let script = view.update_script(n);
+    let script = view.update_script(n, 0);
     let t = std::time::Instant::now();
     engine.execute(&script).unwrap();
     eprintln!("total: {:?}", t.elapsed());

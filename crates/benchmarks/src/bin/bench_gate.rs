@@ -1,12 +1,15 @@
 //! CI perf-regression gate over the committed benchmark trajectory.
 //!
-//! Two checks, each against the committed baselines, each deliberately
-//! generous (`--factor`, default 3×) because CI machines are slow,
+//! Each check is deliberately generous (`--factor`, default 3×, or a
+//! fresh-vs-fresh ratio on one machine) because CI machines are slow,
 //! shared and noisy — only a genuine regression trips them, not machine
 //! variance. Exit code 1 on regression, 2 on usage/baseline errors.
 //!
 //! 1. **Figure 6 latency** (always): a fresh small figure6 measurement
-//!    versus the last run in `BENCH_figure6.json`.
+//!    of the `--view` panel versus the last run in `BENCH_figure6.json`.
+//!    **Figure 6 flatness** (always, not `--factor`): on all four panels,
+//!    fresh incremental latency at the largest `--sizes` entry must stay
+//!    within 2× of the smallest — `O(|ΔV|)` as a same-machine ratio.
 //! 2. **Thread scaling** (with `--throughput-baseline`): a fresh
 //!    disjoint-views scaling run — n autocommit clients × n disjoint
 //!    views through the sharded service's group committers, replaying
@@ -51,13 +54,13 @@
 //!     --factor 3 --out bench-fresh.json
 //! ```
 //!
-//! `--out` writes the fresh figure6 measurement (atomically) so CI can
-//! upload it as a workflow artifact — the trajectory of every CI run,
-//! not just the committed snapshots.
+//! `--out` writes the fresh four-panel figure6 measurement (atomically)
+//! so CI can upload it as a workflow artifact — the trajectory of every
+//! CI run, not just the committed snapshots.
 
 use birds_benchmarks::connection::connection_scaling;
 use birds_benchmarks::emit::write_atomic;
-use birds_benchmarks::figure6::{sweep, to_json, Figure6View};
+use birds_benchmarks::figure6::{sweep, to_json, Figure6Point, Figure6View};
 use birds_benchmarks::range_guard;
 use birds_benchmarks::throughput::{
     disjoint_scaling, durability_batched_sweep, read_interference_sweep, DurabilityPoint,
@@ -133,9 +136,17 @@ fn main() {
     println!("gate: fresh '{view_name}' at sizes {sizes:?} vs baseline run \"{base_label}\"");
     println!("      threshold: {factor}x (generous — CI machines are noisy)\n");
 
-    let fresh = sweep(view, &sizes);
+    let panels: Vec<(Figure6View, Vec<Figure6Point>)> = Figure6View::all()
+        .into_iter()
+        .map(|panel| (panel, sweep(panel, &sizes)))
+        .collect();
+    let fresh = &panels
+        .iter()
+        .find(|(panel, _)| *panel == view)
+        .expect("every view is a panel")
+        .1;
     if let Some(path) = &out_path {
-        let json = to_json("ci-bench-gate", &[(view, fresh.clone())]);
+        let json = to_json("ci-bench-gate", &panels);
         write_atomic(path, &json).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(2);
@@ -149,7 +160,7 @@ fn main() {
         "{:>10} {:>10} {:>14} {:>14} {:>8}",
         "base size", "metric", "baseline (ms)", "fresh (ms)", "ratio"
     );
-    for p in &fresh {
+    for p in fresh {
         let Some((base_orig, base_inc)) = base_points.get(&p.base_size).copied() else {
             println!("{:>10}  (no baseline point; skipped)", p.base_size);
             continue;
@@ -177,6 +188,10 @@ fn main() {
         eprintln!("\nno comparable points between fresh run and baseline");
         std::process::exit(2);
     }
+
+    let (fr, fc) = flatness_gate(&panels);
+    regressions += fr;
+    compared += fc;
 
     if let Some(path) = throughput_baseline {
         let (tr, tc) = throughput_gate(&path, &clients, factor);
@@ -217,6 +232,49 @@ fn main() {
     }
     println!("\nOK: all {compared} measurements within {factor}x of the committed baseline");
 }
+
+/// Figure 6 flatness gate (always on): on every panel, the incremental
+/// latency at the largest fresh size stays within [`FLATNESS_FACTOR`]×
+/// its value at the smallest — the paper's `O(|ΔV|)` claim as a
+/// fresh-vs-fresh ratio on one machine, so no committed number is
+/// involved. Returns `(regressions, compared)`.
+fn flatness_gate(panels: &[(Figure6View, Vec<Figure6Point>)]) -> (usize, usize) {
+    let mut regressions = 0usize;
+    println!(
+        "\ngate: incremental latency at the largest size within {FLATNESS_FACTOR}x \
+         of the smallest, every Figure 6 panel"
+    );
+    println!(
+        "{:>18} {:>14} {:>14} {:>8}",
+        "panel", "smallest (ms)", "largest (ms)", "ratio"
+    );
+    for (panel, points) in panels {
+        let (Some(small), Some(large)) = (points.first(), points.last()) else {
+            continue;
+        };
+        let ms = |p: &Figure6Point| p.incremental.as_secs_f64() * 1e3;
+        let ratio = ms(large) / ms(small).max(1e-9);
+        let flat = ratio <= FLATNESS_FACTOR;
+        regressions += usize::from(!flat);
+        println!(
+            "{:>18} {:>14.3} {:>14.3} {:>7.2}x{}",
+            panel.name(),
+            ms(small),
+            ms(large),
+            ratio,
+            if flat {
+                ""
+            } else {
+                "  << REGRESSION: incremental put grows with |S|"
+            }
+        );
+    }
+    (regressions, panels.len())
+}
+
+/// How much the incremental latency may grow from the smallest to the
+/// largest gated size before the Figure 6 panel counts as not flat.
+const FLATNESS_FACTOR: f64 = 2.0;
 
 /// Thread-scaling gate: replay the committed disjoint-views scaling run
 /// (same base size and epoch window) at the requested client counts and

@@ -90,7 +90,7 @@ fn main() {
             let orig = p.original.as_secs_f64() * 1e3;
             let inc = p.incremental.as_secs_f64() * 1e3;
             println!(
-                "{:>10} {:>16.2} {:>16.2} {:>7.1}x",
+                "{:>10} {:>16.3} {:>16.3} {:>7.1}x",
                 p.base_size,
                 orig,
                 inc,

@@ -85,29 +85,39 @@ impl Figure6View {
         }
     }
 
-    /// The measured transaction: one INSERT plus one DELETE on the view,
-    /// combined in a `BEGIN … END` block (the paper's workload is a
-    /// single SQL statement modifying the view; we use a two-statement
-    /// transaction so both delta directions are exercised).
-    pub fn update_script(&self, n: usize) -> String {
-        let fresh = n as i64 + 7;
+    /// The `rep`-th measured transaction: one INSERT plus one DELETE on
+    /// the view, combined in a `BEGIN … END` block (the paper's workload
+    /// is a single SQL statement modifying the view; we use a
+    /// two-statement transaction so both delta directions are
+    /// exercised). Transaction 0 deletes a seeded row; each later one
+    /// deletes the row its predecessor inserted, so every transaction in
+    /// a run changes the view in both directions.
+    pub fn update_script(&self, n: usize, rep: usize) -> String {
+        let fresh = (n + 7 + rep) as i64;
+        // The key the previous transaction inserted (a seeded row's at 0).
+        let gone = if rep == 0 { 1 } else { fresh - 1 };
         match self {
             Figure6View::Luxuryitems => format!(
                 "BEGIN; INSERT INTO luxuryitems VALUES ({fresh}, 4999); \
-                 DELETE FROM luxuryitems WHERE id = 1; END;"
+                 DELETE FROM luxuryitems WHERE id = {gone}; END;"
             ),
             Figure6View::Officeinfo => format!(
                 "BEGIN; INSERT INTO officeinfo VALUES ({fresh}, 'annex', '+81-99'); \
-                 DELETE FROM officeinfo WHERE oid = 1; END;"
+                 DELETE FROM officeinfo WHERE oid = {gone}; END;"
             ),
             Figure6View::OutstandingTask => format!(
                 "BEGIN; INSERT INTO outstanding_task VALUES \
                  (1, 'hotfix{fresh}', '2020-07-01', 'ownerX'); \
-                 DELETE FROM outstanding_task WHERE tid = 2; END;"
+                 DELETE FROM outstanding_task WHERE {}; END;",
+                if rep == 0 {
+                    "tid = 2".to_owned()
+                } else {
+                    format!("title = 'hotfix{gone}'")
+                }
             ),
             Figure6View::VwBrands => format!(
                 "BEGIN; INSERT INTO vw_brands VALUES ({fresh}, 'newbrand'); \
-                 DELETE FROM vw_brands WHERE bid = 1; END;"
+                 DELETE FROM vw_brands WHERE bid = {gone}; END;"
             ),
         }
     }
@@ -122,15 +132,34 @@ impl Figure6View {
         engine
     }
 
-    /// Time one update transaction at base size `n` under `mode`.
+    /// Latency of one update transaction at base size `n` under `mode`:
+    /// after [`WARMUP`] untimed transactions, the median of [`REPS`]
+    /// timed ones, all on one engine. An incremental update takes about
+    /// ten microseconds; the first one after registration runs on cold
+    /// caches (several times slower, more so the larger the tables just
+    /// built), and a single timer hiccup would decide an unrepeated
+    /// point.
     pub fn measure(&self, n: usize, mode: StrategyMode) -> Duration {
         let mut engine = self.engine(n, mode);
-        let script = self.update_script(n);
-        let t = Instant::now();
-        engine.execute(&script).expect("figure-6 update executes");
-        t.elapsed()
+        let mut times: Vec<Duration> = (0..WARMUP + REPS)
+            .map(|rep| {
+                let script = self.update_script(n, rep);
+                let t = Instant::now();
+                engine.execute(&script).expect("figure-6 update executes");
+                t.elapsed()
+            })
+            .skip(WARMUP)
+            .collect();
+        times.sort();
+        times[REPS / 2]
     }
 }
+
+/// Untimed transactions before each measured point.
+pub const WARMUP: usize = 5;
+
+/// Timed transactions per measured point; the point is their median.
+pub const REPS: usize = 9;
 
 /// One measured point of a Figure 6 panel.
 #[derive(Debug, Clone)]
@@ -143,14 +172,19 @@ pub struct Figure6Point {
     pub incremental: Duration,
 }
 
-/// Sweep one panel over the given base sizes.
+/// Sweep one panel over the given base sizes. At each size the
+/// incremental engine is measured first, on a heap the original
+/// program's `O(|S|)` intermediate results have not yet churned.
 pub fn sweep(view: Figure6View, sizes: &[usize]) -> Vec<Figure6Point> {
     sizes
         .iter()
-        .map(|&n| Figure6Point {
-            base_size: n,
-            original: view.measure(n, StrategyMode::Original),
-            incremental: view.measure(n, StrategyMode::Incremental),
+        .map(|&n| {
+            let incremental = view.measure(n, StrategyMode::Incremental);
+            Figure6Point {
+                base_size: n,
+                original: view.measure(n, StrategyMode::Original),
+                incremental,
+            }
         })
         .collect()
 }
@@ -238,7 +272,7 @@ mod tests {
                 let mut engine = view.engine(200, mode);
                 let before = engine.relation(view.name()).unwrap().len();
                 engine
-                    .execute(&view.update_script(200))
+                    .execute(&view.update_script(200, 0))
                     .unwrap_or_else(|e| panic!("{} {mode:?}: {e}", view.name()));
                 let after = engine.relation(view.name()).unwrap().len();
                 assert!(
@@ -255,8 +289,30 @@ mod tests {
         for view in Figure6View::all() {
             let mut orig = view.engine(300, StrategyMode::Original);
             let mut inc = view.engine(300, StrategyMode::Incremental);
-            orig.execute(&view.update_script(300)).unwrap();
-            inc.execute(&view.update_script(300)).unwrap();
+            orig.execute(&view.update_script(300, 0)).unwrap();
+            inc.execute(&view.update_script(300, 0)).unwrap();
+            assert!(
+                orig.database().same_contents(inc.database()),
+                "{}: strategies diverge",
+                view.name()
+            );
+        }
+    }
+
+    #[test]
+    fn every_repetition_inserts_and_deletes() {
+        for view in Figure6View::all() {
+            let mut orig = view.engine(300, StrategyMode::Original);
+            let mut inc = view.engine(300, StrategyMode::Incremental);
+            for rep in 0..WARMUP + REPS {
+                let script = view.update_script(300, rep);
+                let stats = inc.execute(&script).unwrap();
+                // Transaction 0's delete depends on the seeded data.
+                if rep > 0 {
+                    assert_eq!(stats.view_delta_size, 2, "{} rep {rep}", view.name());
+                }
+                orig.execute(&script).unwrap();
+            }
             assert!(
                 orig.database().same_contents(inc.database()),
                 "{}: strategies diverge",
@@ -269,7 +325,7 @@ mod tests {
     fn luxuryitems_insert_reaches_base_table() {
         let view = Figure6View::Luxuryitems;
         let mut engine = view.engine(100, StrategyMode::Incremental);
-        engine.execute(&view.update_script(100)).unwrap();
+        engine.execute(&view.update_script(100, 0)).unwrap();
         let items = engine.relation("items").unwrap();
         assert!(items
             .iter()

@@ -3,8 +3,10 @@
 use crate::algorithm2::derive_view_delta;
 use crate::error::{EngineError, EngineResult};
 use birds_core::{incrementalize, validate, UpdateStrategy};
-use birds_datalog::{parse_program, DeltaKind, Literal, PredRef, Program, Rule};
-use birds_eval::{evaluate_program, evaluate_query, rule_has_witness, EvalContext, PlanCache};
+use birds_datalog::{parse_program, Atom, DeltaKind, Literal, PredRef, Program, Rule};
+use birds_eval::{
+    evaluate_program, evaluate_query, rule_has_witness, EvalContext, PlanCache, RulePlan,
+};
 use birds_sql::{parse_script, DmlStatement};
 use birds_store::{
     Database, DatabaseSchema, Delta, DeltaSet, Relation, RelationVersion, Schema, Tuple,
@@ -60,6 +62,140 @@ struct RegisteredView {
     incremental: Option<Program>,
     mode: StrategyMode,
     footprint: ViewFootprint,
+    /// The strategy's constraints, prepared once for the per-update
+    /// check.
+    checks: Vec<ConstraintCheck>,
+}
+
+/// One constraint of a registered view, prepared at registration for
+/// [`check_constraints`].
+///
+/// Fast path: a constraint whose body has exactly one view atom, and
+/// that atom positive, can only be newly violated by an *inserted* view
+/// tuple — `S` is unchanged at check time and old view tuples passed the
+/// same check earlier — so its view atom reads the `Δ⁺V` overlay. Other
+/// constraints are checked in full.
+struct ConstraintCheck {
+    /// The constraint as the strategy states it (named in violations).
+    constraint: Rule,
+    /// The rule evaluated: the fast-path rewrite, with single-rule
+    /// intermediates inlined so the planner probes instead of
+    /// materializing them.
+    rule: Rule,
+    /// Whether `rule` reads the `Δ⁺V` overlay (the fast path).
+    reads_insertions: bool,
+    /// The intermediate rules `rule` still (transitively) references —
+    /// computing unrelated intermediates would reintroduce `O(|S|)` work
+    /// on the incremental path.
+    support: Program,
+}
+
+impl ConstraintCheck {
+    fn prepare_all(strategy: &UpdateStrategy) -> Vec<ConstraintCheck> {
+        let view = &strategy.view.name;
+        let is_view = |atom: &Atom| atom.pred.kind == DeltaKind::None && atom.pred.name == *view;
+        let intermediates: Vec<&Rule> = strategy
+            .putdelta
+            .proper_rules()
+            .filter(|r| {
+                r.head
+                    .atom()
+                    .is_some_and(|a| a.pred.kind == DeltaKind::None)
+            })
+            .collect();
+        strategy
+            .constraints()
+            .into_iter()
+            .map(|constraint| {
+                let view_lits: Vec<bool> = constraint
+                    .body
+                    .iter()
+                    .filter_map(|l| match l {
+                        Literal::Atom { atom, negated } if is_view(atom) => Some(*negated),
+                        _ => None,
+                    })
+                    .collect();
+                let reads_insertions = view_lits == [false];
+                let mut rule = constraint.clone();
+                if reads_insertions {
+                    for lit in &mut rule.body {
+                        if let Literal::Atom {
+                            atom,
+                            negated: false,
+                        } = lit
+                        {
+                            if is_view(atom) {
+                                atom.pred = PredRef::ins(view);
+                            }
+                        }
+                    }
+                }
+                let rule = inline_simple_defs(&rule, &strategy.putdelta);
+                let mut needed: HashSet<&str> = HashSet::new();
+                let mut frontier: Vec<&str> = body_pred_names(&rule).collect();
+                while let Some(name) = frontier.pop() {
+                    if !needed.insert(name) {
+                        continue;
+                    }
+                    for r in &intermediates {
+                        if r.head.atom().is_some_and(|a| a.pred.name == name) {
+                            frontier.extend(body_pred_names(r));
+                        }
+                    }
+                }
+                let support = Program::new(
+                    intermediates
+                        .iter()
+                        .filter(|r| {
+                            r.head
+                                .atom()
+                                .is_some_and(|a| needed.contains(a.pred.name.as_str()))
+                        })
+                        .map(|r| (*r).clone())
+                        .collect(),
+                );
+                ConstraintCheck {
+                    constraint: constraint.clone(),
+                    rule,
+                    reads_insertions,
+                    support,
+                }
+            })
+            .collect()
+    }
+
+    /// An evaluation context ready for `self.rule`: the `Δ⁺V` overlay
+    /// (fast path) and the materialized support intermediates.
+    fn context<'a>(
+        &self,
+        db: &'a mut Database,
+        plans: &'a mut PlanCache,
+        read_trace: Option<&'a Mutex<BTreeSet<String>>>,
+        insertions: &Relation,
+    ) -> EngineResult<EvalContext<'a>> {
+        let mut ctx = EvalContext::with_plan_cache(db, plans);
+        if let Some(sink) = read_trace {
+            ctx.trace_reads_into(sink);
+        }
+        if self.reads_insertions {
+            ctx.insert_overlay(insertions.clone());
+        }
+        if !self.support.is_empty() {
+            let out = evaluate_program(&self.support, &mut ctx)?;
+            for (_, rel) in out.relations {
+                ctx.insert_overlay(rel);
+            }
+        }
+        Ok(ctx)
+    }
+}
+
+/// Predicate names of a rule's body atoms (either polarity).
+fn body_pred_names(rule: &Rule) -> impl Iterator<Item = &str> {
+    rule.body
+        .iter()
+        .filter_map(|l| l.atom())
+        .map(|a| a.pred.name.as_str())
 }
 
 /// A registered view reduced to its persistable essence: schemas plus
@@ -147,6 +283,43 @@ impl Engine {
     /// [`ViewFootprint`]); `None` for unknown names.
     pub fn view_footprint(&self, name: &str) -> Option<&ViewFootprint> {
         self.views.get(name).map(|rv| &rv.footprint)
+    }
+
+    /// The compiled plan of every rule a commit on `view` evaluates: each
+    /// putback rule (`∂put` in incremental mode), then each prepared
+    /// constraint check (the `⊥`-headed rules). Plans come from — and
+    /// stay in — the session cache, so these are the plans updates
+    /// replay; a rule not planned yet is planned now, against empty view
+    /// deltas, exactly as the registration warm-up does.
+    pub fn explain(&mut self, view: &str) -> EngineResult<Vec<(Rule, Arc<RulePlan>)>> {
+        let rv = self
+            .views
+            .get(view)
+            .ok_or_else(|| EngineError::NotAView(view.to_owned()))?;
+        let arity = rv.strategy.view.arity();
+        let insertions = Relation::new(PredRef::ins(view).flat_name(), arity);
+        let program = rv.incremental.as_ref().unwrap_or(&rv.strategy.putdelta);
+        let mut plans = Vec::new();
+        {
+            let mut ctx = EvalContext::with_plan_cache(&mut self.db, &mut self.plan_cache);
+            if rv.mode == StrategyMode::Incremental {
+                ctx.insert_overlay(insertions.clone());
+                ctx.insert_overlay(Relation::new(PredRef::del(view).flat_name(), arity));
+            }
+            // Materialize the intermediates so every rule can be planned.
+            let out = evaluate_program(program, &mut ctx)?;
+            for (_, rel) in out.relations {
+                ctx.insert_overlay(rel);
+            }
+            for rule in program.proper_rules() {
+                plans.push((rule.clone(), ctx.plan_for(rule)?));
+            }
+        }
+        for check in &rv.checks {
+            let mut ctx = check.context(&mut self.db, &mut self.plan_cache, None, &insertions)?;
+            plans.push((check.rule.clone(), ctx.plan_for(&check.rule)?));
+        }
+        Ok(plans)
     }
 
     /// Start (or reset) recording of every relation name resolved during
@@ -482,6 +655,7 @@ impl Engine {
             }
         };
         let footprint = compute_footprint(&self.db, &self.views, &strategy, &get, &incremental);
+        let checks = ConstraintCheck::prepare_all(&strategy);
         self.views.insert(
             name,
             RegisteredView {
@@ -490,6 +664,7 @@ impl Engine {
                 incremental,
                 mode,
                 footprint,
+                checks,
             },
         );
         Ok(())
@@ -716,6 +891,12 @@ impl Engine {
 
         let debug = std::env::var_os("BIRDS_ENGINE_DEBUG").is_some();
         let t_eval = std::time::Instant::now();
+        // The `Δ⁺V` overlay, shared by ∂put and the constraint checks.
+        let insertions = Relation::with_tuples(
+            PredRef::ins(view_name).flat_name(),
+            rv.strategy.view.arity(),
+            delta.insertions.iter().cloned(),
+        )?;
         // Compute ΔS. In incremental mode the program reads the OLD view
         // plus the delta relations; in original mode it reads the updated
         // view V′, so we mutate the materialized view first.
@@ -726,11 +907,7 @@ impl Engine {
                 if let Some(sink) = self.read_trace.as_deref() {
                     ctx.trace_reads_into(sink);
                 }
-                ctx.insert_overlay(Relation::with_tuples(
-                    PredRef::ins(view_name).flat_name(),
-                    rv.strategy.view.arity(),
-                    delta.insertions.iter().cloned(),
-                )?);
+                ctx.insert_overlay(insertions.clone());
                 ctx.insert_overlay(Relation::with_tuples(
                     PredRef::del(view_name).flat_name(),
                     rv.strategy.view.arity(),
@@ -770,8 +947,9 @@ impl Engine {
             &mut self.db,
             &mut self.plan_cache,
             self.read_trace.as_deref(),
-            &rv.strategy,
-            &delta,
+            view_name,
+            &rv.checks,
+            &insertions,
         ) {
             mutate_view_relation(&mut self.db, view_name, &delta, true)?; // rollback
             return Err(e);
@@ -853,123 +1031,24 @@ fn mutate_view_relation(
     Ok(())
 }
 
-/// Check the strategy's constraints against the current `(S, V′)`.
-///
-/// Fast path: a constraint whose body has exactly one positive view
-/// atom (and no other view occurrence) can only be newly violated by
-/// an *inserted* view tuple — `S` is unchanged at check time and old
-/// view tuples passed the same check earlier — so it is evaluated with
-/// the view atom restricted to `Δ⁺V`. Other constraints are checked in
-/// full. (A free function so the caller can keep its borrow of the
-/// registered strategy while lending `db` and the plan cache.)
+/// Check a view's prepared constraints against the current `(S, V′)`
+/// (see [`ConstraintCheck`] for the `Δ⁺V` fast path). A free function so
+/// the caller can keep its borrow of the registered view while lending
+/// `db` and the plan cache.
 fn check_constraints(
     db: &mut Database,
     plans: &mut PlanCache,
     read_trace: Option<&Mutex<BTreeSet<String>>>,
-    strategy: &UpdateStrategy,
-    delta: &Delta,
+    view: &str,
+    checks: &[ConstraintCheck],
+    insertions: &Relation,
 ) -> EngineResult<()> {
-    let view = &strategy.view.name;
-    for rule in strategy.constraints() {
-        let view_lits: Vec<(&Literal, bool)> = rule
-            .body
-            .iter()
-            .filter_map(|l| match l {
-                Literal::Atom { atom, negated }
-                    if atom.pred.kind == DeltaKind::None && atom.pred.name == *view =>
-                {
-                    Some((l, *negated))
-                }
-                _ => None,
-            })
-            .collect();
-        let fast = view_lits.len() == 1 && !view_lits[0].1;
-        let check_rule: Rule = if fast {
-            let mut r = rule.clone();
-            for lit in &mut r.body {
-                if let Literal::Atom {
-                    atom,
-                    negated: false,
-                } = lit
-                {
-                    if atom.pred.kind == DeltaKind::None && atom.pred.name == *view {
-                        atom.pred = PredRef::ins(view);
-                    }
-                }
-            }
-            r
-        } else {
-            rule.clone()
-        };
-        // Evaluate the constraint body; any witness = violation.
-        let mut ctx = EvalContext::with_plan_cache(db, plans);
-        if let Some(sink) = read_trace {
-            ctx.trace_reads_into(sink);
-        }
-        if fast {
-            ctx.insert_overlay(Relation::with_tuples(
-                PredRef::ins(view).flat_name(),
-                strategy.view.arity(),
-                delta.insertions.iter().cloned(),
-            )?);
-        }
-        // Materialize only the intermediates the constraint
-        // (transitively) references — computing unrelated
-        // intermediates would reintroduce O(|S|) work on the
-        // incremental path.
-        let intermediates: Vec<&Rule> = strategy
-            .putdelta
-            .proper_rules()
-            .filter(|r| {
-                r.head
-                    .atom()
-                    .is_some_and(|a| a.pred.kind == DeltaKind::None)
-            })
-            .collect();
-        // First, inline single-positive-literal intermediate
-        // definitions directly into the check rule (`¬inassign(T)` ↝
-        // `¬assignment(T, _)`): the planner can then probe instead of
-        // materializing the whole intermediate per update.
-        let check_rule = inline_simple_defs(&check_rule, &strategy.putdelta);
-        let mut needed: HashSet<String> = HashSet::new();
-        let mut frontier: Vec<String> = check_rule
-            .body
-            .iter()
-            .filter_map(|l| l.atom())
-            .map(|a| a.pred.name.clone())
-            .collect();
-        while let Some(name) = frontier.pop() {
-            if !needed.insert(name.clone()) {
-                continue;
-            }
-            for r in &intermediates {
-                if r.head.atom().is_some_and(|a| a.pred.name == name) {
-                    frontier.extend(
-                        r.body
-                            .iter()
-                            .filter_map(|l| l.atom())
-                            .map(|a| a.pred.name.clone()),
-                    );
-                }
-            }
-        }
-        let support = Program::new(
-            intermediates
-                .iter()
-                .filter(|r| r.head.atom().is_some_and(|a| needed.contains(&a.pred.name)))
-                .map(|r| (*r).clone())
-                .collect(),
-        );
-        if !support.is_empty() {
-            let out = evaluate_program(&support, &mut ctx)?;
-            for (_, rel) in out.relations {
-                ctx.insert_overlay(rel);
-            }
-        }
-        if rule_has_witness(&check_rule, &mut ctx)? {
+    for check in checks {
+        let mut ctx = check.context(db, plans, read_trace, insertions)?;
+        if rule_has_witness(&check.rule, &mut ctx)? {
             return Err(EngineError::ConstraintViolation {
-                view: view.clone(),
-                constraint: rule.to_string(),
+                view: view.to_owned(),
+                constraint: check.constraint.to_string(),
             });
         }
     }
@@ -982,7 +1061,7 @@ fn check_constraints(
 /// inlined literal, preserving the `∃` reading. Non-simple definitions
 /// are left for support materialization.
 fn inline_simple_defs(rule: &Rule, program: &Program) -> Rule {
-    use birds_datalog::{Atom, Term};
+    use birds_datalog::Term;
     let mut out = rule.clone();
     let mut anon = 0usize;
     for _ in 0..4 {

@@ -24,21 +24,18 @@ const SNAPSHOT_MAGIC: [u8; 4] = *b"BSNP";
 
 /// Write a snapshot stream covering exactly `relations`. The sharded
 /// service uses this directly to checkpoint across shard engines; a
-/// single engine snapshots itself via [`Engine::snapshot`].
+/// single engine snapshots itself via [`Engine::snapshot`]. Records are
+/// streamed in bounded chunks ([`codec::write_relation_record`]), so a
+/// checkpoint never holds an encoded copy of a whole relation.
 pub fn write_snapshot(w: &mut impl Write, relations: &[&Relation]) -> EngineResult<()> {
     let header = StreamHeader {
         magic: SNAPSHOT_MAGIC,
     };
     header.write(w).map_err(snapshot_err)?;
-    let mut count = Vec::with_capacity(8);
-    codec::put_u64(&mut count, relations.len() as u64);
-    w.write_all(&count)
+    w.write_all(&(relations.len() as u64).to_le_bytes())
         .map_err(|e| snapshot_err(codec::CodecError::Io(e)))?;
-    let mut payload = Vec::new();
     for rel in relations {
-        payload.clear();
-        codec::put_relation(&mut payload, rel);
-        codec::write_record(w, &payload).map_err(snapshot_err)?;
+        codec::write_relation_record(w, rel).map_err(snapshot_err)?;
     }
     Ok(())
 }

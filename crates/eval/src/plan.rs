@@ -6,10 +6,15 @@
 //!    atoms) run as early as their variables are bound;
 //! 2. grounding equalities (`X = c`, `X = Y` with one side bound) bind
 //!    immediately;
-//! 3. remaining positive atoms are chosen greedily by (most bound argument
-//!    positions, smallest relation) — so a rule whose body contains a tiny
-//!    delta relation starts its join there, giving the `O(|Δ|)` behaviour
-//!    the incrementalized strategies rely on (paper §5 / Figure 6).
+//! 3. remaining positive atoms are chosen greedily, and **delta first is
+//!    a rule**: an atom over a delta predicate (`+v` / `-v`) is joined
+//!    before any stored relation, so an incrementalized rule starts at
+//!    its `O(|Δ|)` overlay and reaches every stored relation through
+//!    bound columns — the `O(|ΔV|)` behaviour of paper §5 / Figure 6.
+//!    Other atoms are ranked by *estimated output cardinality* (size
+//!    divided by the distinct-value count of each bound column: the
+//!    column index's count when it exists, `√size` when it does not
+//!    yet), then by bound positions, then by raw size.
 //!
 //! Beyond ordering, planning **resolves every variable to a numeric
 //! register slot**. Because steps execute in plan order, whether a
@@ -43,7 +48,7 @@
 
 use crate::context::EvalContext;
 use crate::error::{EvalError, EvalResult};
-use birds_datalog::{Atom, CmpOp, Head, Literal, Rule, Term};
+use birds_datalog::{Atom, CmpOp, DeltaKind, Head, Literal, Rule, Term};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -561,6 +566,55 @@ fn absorb_range_guards(
     chosen.map(|col| (col, guards))
 }
 
+/// How attractive a positive atom is as the next join step; the planner
+/// takes the greatest. Field order is the comparison order:
+///
+/// 1. `delta` — the atom reads a delta predicate (`+p` / `-p`). Deltas
+///    are per-update overlays of `O(|Δ|)` tuples, so starting there is
+///    what makes an incrementalized rule `O(|ΔV|)`. It is a rule, not
+///    part of the estimate: a cached plan is replayed for deltas of every
+///    size, and a stored relation's estimate can be off by orders of
+///    magnitude (a constant-bound column without statistics).
+/// 2. `est` (smaller wins) — estimated tuples one activation yields:
+///    relation size divided, per bound column, by that column's
+///    distinct-value count — from its index when one exists, otherwise
+///    `√size` (no statistics yet: the geometric midpoint between a
+///    constant column and a key). Plans are compiled before their
+///    `index_requests` are built, so without the default a unique-key
+///    probe on a large relation would be costed as a full scan.
+/// 3. `nbound` — more bound positions, fewer candidates to check.
+/// 4. `size` (smaller wins) — the raw relation size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct JoinRank {
+    delta: bool,
+    est: std::cmp::Reverse<usize>,
+    nbound: usize,
+    size: std::cmp::Reverse<usize>,
+}
+
+impl JoinRank {
+    fn of(atom: &Atom, slots: &SlotMap, ctx: &EvalContext) -> EvalResult<JoinRank> {
+        let flat = atom.pred.flat_name();
+        let size = ctx
+            .relation_len(&flat)
+            .ok_or_else(|| EvalError::UnknownRelation(flat.clone()))?;
+        let bound = bound_positions(&atom.terms, slots);
+        let mut est = size;
+        for &c in &bound {
+            let ndv = ctx
+                .relation_ndv(&flat, c)
+                .unwrap_or_else(|| (size as f64).sqrt() as usize);
+            est = est.div_ceil(ndv.max(1));
+        }
+        Ok(JoinRank {
+            delta: matches!(atom.pred.kind, DeltaKind::Insert | DeltaKind::Delete),
+            est: std::cmp::Reverse(est),
+            nbound: bound.len(),
+            size: std::cmp::Reverse(size),
+        })
+    }
+}
+
 /// Plan a rule against the current context (relation sizes drive the
 /// greedy choice; all body relations must already exist).
 pub fn plan_rule(rule: &Rule, ctx: &EvalContext) -> EvalResult<RulePlan> {
@@ -664,61 +718,24 @@ pub fn plan_rule(rule: &Rule, ctx: &EvalContext) -> EvalResult<RulePlan> {
             break;
         }
 
-        // Phase 2: choose the next positive atom to join. Candidates are
-        // ranked by (indexable, estimated cardinality, bound positions,
-        // raw size): a bound position means the scan becomes an index
-        // probe, and the *estimated* cardinality refines raw relation
-        // size by the selectivity of those probes — size divided by the
-        // distinct-key count of each bound column's existing index
-        // (columns without an index contribute no refinement, so before
-        // any index exists the ranking degenerates to the old
-        // size-driven order).
-        let mut best: Option<(usize, usize, usize, usize, usize)> = None; // (pos, li, nbound, est, size)
+        // Phase 2: choose the next positive atom to join. An atom over a
+        // delta predicate (`+p` / `-p`) always goes first; every other
+        // candidate is ranked by estimated output cardinality, then bound
+        // positions, then raw size (see [`JoinRank`]).
+        let mut best: Option<(usize, usize, JoinRank)> = None;
         for (pos, &li) in remaining.iter().enumerate() {
             if let Literal::Atom {
                 atom,
                 negated: false,
             } = &rule.body[li]
             {
-                let flat = atom.pred.flat_name();
-                let size = ctx
-                    .relation_len(&flat)
-                    .ok_or_else(|| EvalError::UnknownRelation(flat.clone()))?;
-                let bound = bound_positions(&atom.terms, &slots);
-                let nbound = bound.len();
-                let mut est = size;
-                for &c in &bound {
-                    if let Some(refined) = ctx
-                        .relation_ndv(&flat, c)
-                        .and_then(|ndv| est.checked_div(ndv))
-                    {
-                        est = refined.max(1);
-                    }
-                }
-                let better = match best {
-                    None => true,
-                    Some((_, _, best_bound, best_est, best_size)) => {
-                        let cand_indexed = nbound > 0;
-                        let best_indexed = best_bound > 0;
-                        (
-                            cand_indexed,
-                            std::cmp::Reverse(est),
-                            nbound,
-                            std::cmp::Reverse(size),
-                        ) > (
-                            best_indexed,
-                            std::cmp::Reverse(best_est),
-                            best_bound,
-                            std::cmp::Reverse(best_size),
-                        )
-                    }
-                };
-                if better {
-                    best = Some((pos, li, nbound, est, size));
+                let rank = JoinRank::of(atom, &slots, ctx)?;
+                if best.as_ref().is_none_or(|(_, _, b)| rank > *b) {
+                    best = Some((pos, li, rank));
                 }
             }
         }
-        let Some((pos, li, _, _, _)) = best else {
+        let Some((pos, li, _)) = best else {
             // Only negated atoms / builtins with unbound variables remain.
             let lit = &rule.body[remaining[0]];
             let var = lit
@@ -1046,6 +1063,91 @@ mod tests {
         let plan = plan_rule(&rule, &ctx).unwrap();
         let order: Vec<usize> = plan.steps.iter().map(|s| s.literal).collect();
         assert_eq!(order, vec![0, 1, 2], "k, then big (est 1), then mid");
+    }
+
+    /// The relation read by the plan's first atom step (builtin steps —
+    /// `Assign`, `Compare` — read no relation).
+    fn first_relation_read(plan: &RulePlan) -> &str {
+        plan.steps
+            .iter()
+            .find_map(|s| match &s.op {
+                StepOp::Scan(a) | StepOp::Check { atom: a, .. } => Some(a.rel.as_str()),
+                StepOp::RangeScan { atom, .. } => Some(atom.rel.as_str()),
+                _ => None,
+            })
+            .expect("plan reads a relation")
+    }
+
+    #[test]
+    fn delta_overlay_outranks_a_constant_bound_probe() {
+        // The `outstanding_task` ∂put rule: `S = 'open'` binds the status
+        // column of a 50k-row `tasks` whose status index has two keys
+        // (est 25k), while the view-delta overlay holds one row. Starting
+        // at `tasks` costs O(|tasks|) per update; delta-first makes it
+        // O(|ΔV|).
+        let mut db = Database::new();
+        let tasks = (0..50_000i64).map(|i| {
+            let status = if i % 2 == 0 { "open" } else { "done" };
+            birds_store::tuple![i, "title", "2020-01-01", "owner", status]
+        });
+        db.add_relation(Relation::with_tuples("tasks", 5, tasks).unwrap())
+            .unwrap();
+        db.relation_mut("tasks")
+            .unwrap()
+            .ensure_index(&[4])
+            .unwrap();
+        assert_eq!(db.relation("tasks").unwrap().distinct_keys(&[4]), Some(2));
+        let assignment = (0..25_000i64).map(|i| birds_store::tuple![i * 2, "worker"]);
+        db.add_relation(Relation::with_tuples("assignment", 2, assignment).unwrap())
+            .unwrap();
+        let overlay = [birds_store::tuple![4, "title", "2020-01-01", "owner"]];
+        db.add_relation(Relation::with_tuples("-outstanding_task", 4, overlay).unwrap())
+            .unwrap();
+        let ctx = ctx_with(&mut db);
+        let rule = parse_rule(
+            "-tasks(T, TI, DU, OW, S) :- tasks(T, TI, DU, OW, S), S = 'open', \
+             assignment(T, _), -outstanding_task(T, TI, DU, OW).",
+        )
+        .unwrap();
+        let plan = plan_rule(&rule, &ctx).unwrap();
+        assert_eq!(
+            first_relation_read(&plan),
+            "-outstanding_task",
+            "plan: {:#?}",
+            plan.steps
+        );
+        // Everything after the overlay is a bound probe, never a scan.
+        assert!(plan
+            .steps
+            .iter()
+            .filter(|s| s.kind() == StepKind::Join)
+            .all(|s| s.literal == 3));
+    }
+
+    #[test]
+    fn delta_first_holds_even_when_the_overlay_is_larger() {
+        // Delta-first is a rule, not a size comparison: at warm-up the
+        // overlay may be the larger side, and the cached plan must still
+        // start there.
+        let mut db = db_sizes(&[("small", 2, 3), ("+v", 2, 50)]);
+        let ctx = ctx_with(&mut db);
+        let rule = parse_rule("+r(X, Y) :- small(X, Y), +v(X, Y).").unwrap();
+        let plan = plan_rule(&rule, &ctx).unwrap();
+        assert_eq!(first_relation_read(&plan), "+v");
+    }
+
+    #[test]
+    fn unindexed_bound_probe_beats_a_mid_sized_scan() {
+        // `big` is probed on a bound column with no index yet (plans are
+        // made before their index requests are built); `mid` would be a
+        // full scan. The √size default estimate (10k / 100 = 100) must
+        // beat scanning 1 000 tuples.
+        let mut db = db_sizes(&[("k", 1, 2), ("big", 2, 10_000), ("mid", 1, 1_000)]);
+        let ctx = ctx_with(&mut db);
+        let rule = parse_rule("h(X, B) :- k(X), mid(B), big(X, A).").unwrap();
+        let plan = plan_rule(&rule, &ctx).unwrap();
+        let order: Vec<usize> = plan.steps.iter().map(|s| s.literal).collect();
+        assert_eq!(order, vec![0, 2, 1], "k, then the big probe, then mid");
     }
 
     #[test]

@@ -79,10 +79,10 @@ pub struct Relation {
     tuples: Arc<FxHashSet<Tuple>>,
     /// Secondary hash indexes keyed by column subset. Maintained under all
     /// mutations. `Vec<usize>` keys are sorted, deduplicated column lists.
-    indexes: FxHashMap<Vec<usize>, FxHashMap<Vec<Value>, FxHashSet<Tuple>>>,
+    indexes: FxHashMap<Vec<usize>, FxHashMap<Vec<Value>, Bucket>>,
     /// Ordered (B-tree) indexes keyed by single column, for range probes.
     /// Maintained under all mutations, exactly like the hash indexes.
-    ordered: FxHashMap<usize, BTreeMap<Value, FxHashSet<Tuple>>>,
+    ordered: FxHashMap<usize, BTreeMap<Value, Bucket>>,
     /// Probe hit/miss counters (shared so `&self` probes can count).
     stats: Arc<IndexCounters>,
     /// Left-right publication state: `None` until the first
@@ -185,6 +185,58 @@ impl VersionBuffers {
             self.base += done as u64;
         }
         Arc::clone(&self.bufs[i])
+    }
+}
+
+/// The tuples an index holds under one key. A key-like column gives
+/// almost every key a single tuple, which is stored inline: a
+/// one-element set would cost a separate ~100-byte allocation per key,
+/// the bulk of a unique index's memory. `Default` is the empty set,
+/// which allocates nothing.
+#[derive(Debug, Clone)]
+enum Bucket {
+    One(Tuple),
+    Many(FxHashSet<Tuple>),
+}
+
+impl Default for Bucket {
+    fn default() -> Bucket {
+        Bucket::Many(FxHashSet::default())
+    }
+}
+
+impl Bucket {
+    /// Add `t`, which the bucket does not hold yet.
+    fn insert(&mut self, t: Tuple) {
+        match self {
+            Bucket::Many(set) if set.is_empty() => *self = Bucket::One(t),
+            Bucket::Many(set) => {
+                set.insert(t);
+            }
+            Bucket::One(held) => {
+                let held = held.clone();
+                *self = Bucket::Many([held, t].into_iter().collect());
+            }
+        }
+    }
+
+    /// Remove `t`; `true` when the bucket is left empty.
+    fn remove(&mut self, t: &Tuple) -> bool {
+        match self {
+            Bucket::One(held) => held == t,
+            Bucket::Many(set) => {
+                set.remove(t);
+                set.is_empty()
+            }
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Tuple> {
+        let (one, many) = match self {
+            Bucket::One(t) => (Some(t), None),
+            Bucket::Many(set) => (None, Some(set.iter())),
+        };
+        one.into_iter().chain(many.into_iter().flatten())
     }
 }
 
@@ -430,20 +482,14 @@ impl Relation {
         }
         for (cols, index) in self.indexes.iter_mut() {
             let key = t.project(cols);
-            if let Some(bucket) = index.get_mut(&key) {
-                bucket.remove(t);
-                if bucket.is_empty() {
-                    index.remove(&key);
-                }
+            if index.get_mut(&key).is_some_and(|bucket| bucket.remove(t)) {
+                index.remove(&key);
             }
         }
         for (&col, tree) in self.ordered.iter_mut() {
             let key = t[col];
-            if let Some(bucket) = tree.get_mut(&key) {
-                bucket.remove(t);
-                if bucket.is_empty() {
-                    tree.remove(&key);
-                }
+            if tree.get_mut(&key).is_some_and(|bucket| bucket.remove(t)) {
+                tree.remove(&key);
             }
         }
         true
@@ -465,7 +511,7 @@ impl Relation {
         if self.indexes.contains_key(&key) {
             return Ok(());
         }
-        let mut index: FxHashMap<Vec<Value>, FxHashSet<Tuple>> = FxHashMap::default();
+        let mut index: FxHashMap<Vec<Value>, Bucket> = FxHashMap::default();
         for t in self.tuples.iter() {
             index.entry(t.project(&key)).or_default().insert(t.clone());
         }
@@ -527,7 +573,7 @@ impl Relation {
         if self.ordered.contains_key(&col) {
             return Ok(());
         }
-        let mut tree: BTreeMap<Value, FxHashSet<Tuple>> = BTreeMap::new();
+        let mut tree: BTreeMap<Value, Bucket> = BTreeMap::new();
         for t in self.tuples.iter() {
             tree.entry(t[col]).or_default().insert(t.clone());
         }
@@ -1166,5 +1212,36 @@ mod tests {
         r.ensure_ordered_index(1).unwrap();
         assert_eq!(r.distinct_keys(&[1]), Some(3), "ordered index counts too");
         assert_eq!(r.distinct_keys(&[0, 1]), None);
+    }
+
+    #[test]
+    fn keys_grow_and_shrink_between_one_and_many_tuples() {
+        let mut r = Relation::new("r", 2);
+        r.ensure_index(&[0]).unwrap();
+        r.ensure_ordered_index(0).unwrap();
+        let key = Value::int(1);
+        let probed = |r: &Relation| {
+            let mut hash: Vec<Tuple> = r.probe(&[0], &[key]).cloned().collect();
+            let mut tree: Vec<Tuple> = r
+                .range_probe(0, Bound::Included(key), Bound::Included(key))
+                .expect("int column")
+                .cloned()
+                .collect();
+            hash.sort();
+            tree.sort();
+            assert_eq!(hash, tree, "hash and ordered index agree");
+            hash
+        };
+        r.insert(tuple![1, "a"]).unwrap();
+        assert_eq!(probed(&r), vec![tuple![1, "a"]]);
+        r.insert(tuple![1, "b"]).unwrap();
+        assert_eq!(probed(&r), vec![tuple![1, "a"], tuple![1, "b"]]);
+        r.remove(&tuple![1, "a"]);
+        assert_eq!(probed(&r), vec![tuple![1, "b"]]);
+        r.remove(&tuple![1, "b"]);
+        assert!(probed(&r).is_empty());
+        assert_eq!(r.distinct_keys(&[0]), Some(0), "emptied keys are dropped");
+        r.insert(tuple![1, "c"]).unwrap();
+        assert_eq!(probed(&r), vec![tuple![1, "c"]]);
     }
 }
