@@ -30,13 +30,14 @@
 //!    idle, fresh-vs-fresh — the lock-free-reads claim as a number
 //!    (gated on p50; p99 reported, since tail latency on an
 //!    oversubscribed runner measures the scheduler, not the locks).
-//! 5. **Range pushdown** (with `--range-gate`): two checks. A *static*
-//!    one — the committed `range_guard` section of the figure6 baseline
-//!    must record a ≥3× speedup at 1M rows for a ≤10%-selectivity
-//!    guard (the PR's headline number stays in the trajectory). And a
-//!    *fresh* one — the 1%-selectivity point re-measured at a CI-sized
-//!    table, ordered-index plans vs hash-only plans, fresh-vs-fresh on
-//!    the same machine; fails when the speedup falls below `--factor`.
+//! 5. **Range pushdown** (with `--range-gate`): a *static* check — the
+//!    committed `range_guard` section of the figure6 baseline must
+//!    record a ≥3× speedup over hash-only plans at 1M rows for a
+//!    ≤10%-selectivity guard (the headline number stays in the
+//!    trajectory) — and a deterministic *plan* check on a fresh
+//!    1%-selectivity `range_guard` engine at 200k rows: `explain` shows
+//!    the guard planned as a `RangeScan` over `stock`, and `stock` has
+//!    its ordered index after one update. No timing is involved.
 //! 6. **Connection scaling** (with `--connection-gate`): fresh
 //!    active-subset query latency through a `birds-serve` child under
 //!    2 000 idle connections versus an empty server, fresh-vs-fresh.
@@ -65,6 +66,7 @@ use birds_benchmarks::range_guard;
 use birds_benchmarks::throughput::{
     disjoint_scaling, durability_batched_sweep, read_interference_sweep, DurabilityPoint,
 };
+use birds_eval::plan::StepOp;
 use birds_service::Json;
 use std::time::Duration;
 
@@ -212,7 +214,7 @@ fn main() {
     }
 
     if range_gate {
-        let (rr, rc) = range_pushdown_gate(&baseline, factor);
+        let (rr, rc) = range_plan_gate(&baseline);
         regressions += rr;
         compared += rc;
     }
@@ -476,11 +478,12 @@ fn interference_gate(factor: f64) -> (usize, usize) {
 /// selective point is expected to clear 3×: the putback pipeline's
 /// shared per-matching-tuple work dilutes the ratio as selectivity
 /// grows — that scaling story is exactly what the sweep documents.)
-/// Fresh half: the 1%-selectivity point re-measured at a CI-sized
-/// table, range-index plans versus hash-only plans. Fresh-vs-fresh on
-/// the same machine, so the ratio isolates the plan shape from machine
-/// variance; fails below `factor`. Returns `(regressions, compared)`.
-fn range_pushdown_gate(baseline: &Json, factor: f64) -> (usize, usize) {
+/// Fresh half: the 1%-selectivity engine at a CI-sized table must plan
+/// the guard as a `RangeScan` over `stock` and hold `stock`'s ordered
+/// index after one update — the plan shape the committed speedup was
+/// measured on, checked without a clock. Returns `(regressions,
+/// compared)`.
+fn range_plan_gate(baseline: &Json) -> (usize, usize) {
     const COMMITTED_MIN_ROWS: i64 = 1_000_000;
     const COMMITTED_MIN_SPEEDUP: f64 = 3.0;
     const FRESH_ROWS: usize = 200_000;
@@ -526,29 +529,41 @@ fn range_pushdown_gate(baseline: &Json, factor: f64) -> (usize, usize) {
         println!("      << REGRESSION: no qualifying committed range_guard run");
     }
 
-    // Fresh: the plan-shape ratio on this machine, CI-sized.
+    // Fresh: the plan shape, CI-sized and clock-free.
     println!(
-        "gate: fresh range-index vs hash-only at {FRESH_ROWS} rows, \
-         {FRESH_PCT}% selectivity"
+        "gate: fresh {FRESH_PCT}% range_guard engine at {FRESH_ROWS} rows plans a RangeScan \
+         over stock and keeps its ordered index"
     );
-    let hash_only = range_guard::measure(FRESH_ROWS, FRESH_PCT, false);
-    let range_index = range_guard::measure(FRESH_ROWS, FRESH_PCT, true);
-    let speedup = hash_only.as_secs_f64() / range_index.as_secs_f64().max(1e-9);
-    let fresh_regressed = speedup < factor;
-    regressions += usize::from(fresh_regressed);
-    println!(
-        "{:>12} {:>15.3} {:>17.3} {:>7.2}x{}",
-        format!("{FRESH_PCT}%"),
-        hash_only.as_secs_f64() * 1e3,
-        range_index.as_secs_f64() * 1e3,
-        speedup,
-        if fresh_regressed {
-            "  << REGRESSION: range pushdown no longer pays"
-        } else {
-            ""
-        }
-    );
-    (regressions, 2)
+    let mut engine = range_guard::engine(FRESH_ROWS, FRESH_PCT);
+    let plans = engine.explain("pricey").unwrap_or_else(|e| {
+        eprintln!("range_guard engine cannot explain 'pricey': {e}");
+        std::process::exit(2);
+    });
+    let range_scan = plans.iter().any(|(_, plan)| {
+        plan.steps
+            .iter()
+            .any(|s| matches!(&s.op, StepOp::RangeScan { atom, .. } if atom.rel == "stock"))
+    });
+    engine
+        .execute(&range_guard::update_script(FRESH_ROWS, FRESH_PCT))
+        .unwrap_or_else(|e| {
+            eprintln!("range_guard update failed: {e}");
+            std::process::exit(2);
+        });
+    let indexed = engine
+        .relation("stock")
+        .is_some_and(|stock| stock.has_ordered_index(1));
+    for (ok, what) in [
+        (range_scan, "explain(\"pricey\") has a RangeScan over stock"),
+        (
+            indexed,
+            "stock has its ordered price index after one update",
+        ),
+    ] {
+        regressions += usize::from(!ok);
+        println!("      {what}: {}", if ok { "OK" } else { "<< REGRESSION" });
+    }
+    (regressions, 3)
 }
 
 /// Connection-scaling gate (`--connection-gate`): measure the active

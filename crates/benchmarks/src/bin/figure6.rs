@@ -17,7 +17,7 @@
 //! torn document.
 //!
 //! `--range-guard <size>` additionally runs the range-guard selectivity
-//! sweep (1%/10%/50% selective comparison guards, hash-only plans vs
+//! sweep (1%/10%/50% selective comparison guards, planned as
 //! ordered-index range scans) at the given base size and records it in
 //! the document's `"range_guard"` section.
 
@@ -104,18 +104,16 @@ fn main() {
     let range_points = range_guard_size.map(|n| {
         println!("== range_guard (base size {n}) ==");
         println!(
-            "{:>12} {:>10} {:>15} {:>17} {:>8}",
-            "selectivity", "threshold", "hash-only (ms)", "range-index (ms)", "speedup"
+            "{:>12} {:>10} {:>17}",
+            "selectivity", "threshold", "range-index (ms)"
         );
         let points = range_guard::sweep(n, &RANGE_GUARD_PCTS);
         for p in &points {
             println!(
-                "{:>11}% {:>10} {:>15.2} {:>17.2} {:>7.1}x",
+                "{:>11}% {:>10} {:>17.2}",
                 p.selectivity_pct,
                 p.threshold,
-                p.hash_only.as_secs_f64() * 1e3,
-                p.range_index.as_secs_f64() * 1e3,
-                p.speedup()
+                p.range_index.as_secs_f64() * 1e3
             );
         }
         println!();

@@ -1,29 +1,24 @@
-//! The range-guard selectivity sweep: what pushing a comparison guard
-//! into an ordered-index scan buys, as a function of guard selectivity.
+//! The range-guard selectivity sweep: the latency of a putback whose
+//! comparison guard is planned as an ordered-index range scan, as a
+//! function of guard selectivity.
 //!
 //! The workload is a selection view `pricey(id, price) = σ_{price >= K}
 //! stock` — the same putback shape as Figure 6's `luxuryitems`, but with
 //! the threshold `K` chosen so the guard keeps 1%, 10% or 50% of the
-//! base table. One view-update transaction is measured twice under the
+//! base table. One view-update transaction is measured under the
 //! **original** (non-incremental) strategy, whose putback program
-//! re-reads the whole source through the guard:
-//!
-//! * `hash_only` — range pushdown disabled ([`birds_engine::Engine::
-//!   set_range_pushdown`]): the guard compiles to a full `Scan` plus a
-//!   residual `Compare` filter, the pre-ordered-index plan shape.
-//! * `range_index` — pushdown enabled (the default): the guard compiles
-//!   to a `RangeScan` over the ordered index, touching only the
-//!   matching fraction of the table.
-//!
-//! Expected shape: the hash-only latency is flat in selectivity (the
-//! scan always reads everything) while the range-index latency scales
-//! with the matching fraction — large wins at 1%, converging toward
-//! parity as the guard approaches "keep everything".
+//! re-reads the whole source through the guard; the guard compiles to a
+//! `RangeScan` over `stock`'s ordered price index, touching only the
+//! matching fraction of the table. The latency (`range_index_ms`) scales
+//! with that fraction.
 //!
 //! Results are recorded as a `"range_guard"` section of
 //! `BENCH_figure6.json` (the section survives `figure6` run upserts,
-//! which preserve foreign top-level fields) and gated in CI via
-//! `bench_gate --range-gate`.
+//! which preserve foreign top-level fields). Its committed 1M-row run
+//! also holds the hash-only (scan + filter) latencies measured when the
+//! planner could still be told not to push guards down; `bench_gate
+//! --range-gate` keeps that speedup on the record and checks the plan
+//! shape of a fresh engine.
 
 use birds_core::UpdateStrategy;
 use birds_datalog::{parse_program, Program};
@@ -91,13 +86,12 @@ fn get(k: i64) -> Program {
         .expect("range-guard get parses")
 }
 
-/// An engine with the view registered under the original strategy, with
-/// range pushdown set **before** registration so the warm-up compiles
-/// (and pre-builds indexes for) exactly the plan shape being measured.
-pub fn engine(n: usize, pct: u32, range_pushdown: bool) -> Engine {
+/// An engine with the view registered under the original strategy (the
+/// registration warm-up compiles the measured plan and builds its
+/// ordered index).
+pub fn engine(n: usize, pct: u32) -> Engine {
     let k = threshold(pct);
     let mut engine = Engine::new(stock_database(n));
-    engine.set_range_pushdown(range_pushdown);
     engine
         .register_view_unchecked(strategy(k), get(k), StrategyMode::Original)
         .expect("range-guard view registers");
@@ -121,8 +115,8 @@ pub fn update_script(n: usize, pct: u32) -> String {
 }
 
 /// Time one update transaction at size `n` and selectivity `pct`%.
-pub fn measure(n: usize, pct: u32, range_pushdown: bool) -> Duration {
-    let mut engine = engine(n, pct, range_pushdown);
+pub fn measure(n: usize, pct: u32) -> Duration {
+    let mut engine = engine(n, pct);
     let script = update_script(n, pct);
     let t = Instant::now();
     engine
@@ -138,17 +132,8 @@ pub struct RangeGuardPoint {
     pub selectivity_pct: u32,
     /// The guard constant `K` in `price >= K`.
     pub threshold: i64,
-    /// Latency with pushdown disabled (full scan + residual filter).
-    pub hash_only: Duration,
-    /// Latency with pushdown enabled (ordered-index range scan).
+    /// Latency of the update (ordered-index range scan).
     pub range_index: Duration,
-}
-
-impl RangeGuardPoint {
-    /// `hash_only / range_index`.
-    pub fn speedup(&self) -> f64 {
-        self.hash_only.as_secs_f64() / self.range_index.as_secs_f64().max(1e-9)
-    }
 }
 
 /// Sweep the given selectivities at base size `n`.
@@ -157,8 +142,7 @@ pub fn sweep(n: usize, pcts: &[u32]) -> Vec<RangeGuardPoint> {
         .map(|&pct| RangeGuardPoint {
             selectivity_pct: pct,
             threshold: threshold(pct),
-            hash_only: measure(n, pct, false),
-            range_index: measure(n, pct, true),
+            range_index: measure(n, pct),
         })
         .collect()
 }
@@ -177,16 +161,8 @@ pub fn run_value(label: &str, base_size: usize, points: &[RangeGuardPoint]) -> J
                 ),
                 ("threshold".to_owned(), Json::Int(p.threshold)),
                 (
-                    "hash_only_ms".to_owned(),
-                    Json::Float(round3(p.hash_only.as_secs_f64() * 1e3)),
-                ),
-                (
                     "range_index_ms".to_owned(),
                     Json::Float(round3(p.range_index.as_secs_f64() * 1e3)),
-                ),
-                (
-                    "speedup".to_owned(),
-                    Json::Float((p.speedup() * 10.0).round() / 10.0),
                 ),
             ])
         })
@@ -251,23 +227,8 @@ mod tests {
     }
 
     #[test]
-    fn both_plan_shapes_agree_on_final_state() {
-        for pct in [1u32, 50] {
-            let mut pushed = engine(600, pct, true);
-            let mut filtered = engine(600, pct, false);
-            let script = update_script(600, pct);
-            pushed.execute(&script).unwrap();
-            filtered.execute(&script).unwrap();
-            assert!(
-                pushed.database().same_contents(filtered.database()),
-                "selectivity {pct}%: plan shapes diverge"
-            );
-        }
-    }
-
-    #[test]
     fn update_script_touches_both_directions() {
-        let mut engine = engine(400, 10, true);
+        let mut engine = engine(400, 10);
         let before = engine.relation("stock").unwrap().len();
         engine.execute(&update_script(400, 10)).unwrap();
         let stock = engine.relation("stock").unwrap();
@@ -306,7 +267,7 @@ mod tests {
             point.get("selectivity_pct").and_then(Json::as_i64),
             Some(10)
         );
-        assert!(point.get("speedup").and_then(Json::as_f64).is_some());
+        assert!(point.get("range_index_ms").and_then(Json::as_f64).is_some());
         assert!(upsert_run("{\"benchmark\": \"other\"}", "x", 1, &[]).is_none());
     }
 

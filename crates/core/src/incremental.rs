@@ -59,7 +59,13 @@ pub fn incrementalize_lvgn(strategy: &UpdateStrategy) -> Result<Program, CoreErr
             .collect::<Vec<_>>(),
     );
     inline_intermediates(&mut program)?;
-    inline_negated_intermediates(&mut program);
+    // The negated occurrences of simple intermediates too, so the runtime
+    // plans `∂put` without materializing them (an `O(|S|)` scan per
+    // update otherwise).
+    let defs = program.clone();
+    for rule in &mut program.rules {
+        *rule = inline_simple_defs(rule, &defs);
+    }
 
     // Substitute the view atoms in delta rules.
     for rule in &mut program.rules {
@@ -209,83 +215,68 @@ fn inline_intermediates(program: &mut Program) -> Result<(), CoreError> {
     Ok(())
 }
 
-/// Inline *negated* occurrences of simple intermediate predicates.
-///
-/// `¬p(~t)` where `p` is defined by exactly one rule whose body is a
-/// single positive atom `q(~u)` (no builtins, no negation) rewrites to
-/// `¬q(~u[σ])`, with defining-body variables that are existential in the
-/// definition becoming anonymous variables — preserving the
-/// `¬∃` reading. This is what lets the runtime plan `∂put` rules without
-/// materializing the intermediate (an `O(|S|)` scan per update
-/// otherwise).
-fn inline_negated_intermediates(program: &mut Program) {
-    loop {
-        let idb = program.idb_predicates();
-        let intermediates: BTreeSet<PredRef> = idb
-            .into_iter()
-            .filter(|p| p.kind == DeltaKind::None)
-            .collect();
+/// Inline into `rule` every body atom, of either polarity, over an
+/// intermediate predicate that `program` defines by exactly one rule
+/// whose head has distinct variables and whose body is a single positive
+/// atom `q(~u)`: `[¬]p(~t)` becomes `[¬]q(~u[σ])`. Definition-body
+/// variables that are existential in the definition become anonymous
+/// variables in the inlined literal, preserving the `∃` (under negation,
+/// `¬∃`) reading. Chains of such definitions are followed; anything else
+/// is left for the caller to materialize.
+pub fn inline_simple_defs(rule: &Rule, program: &Program) -> Rule {
+    let mut out = rule.clone();
+    let mut anon = 0usize;
+    // A non-recursive chain is no longer than the program.
+    for _ in 0..=program.rules.len() {
         let mut changed = false;
-        let rules_snapshot = program.rules.clone();
-        for rule in &mut program.rules {
-            for lit in &mut rule.body {
-                let Literal::Atom {
-                    atom,
-                    negated: true,
-                } = lit
-                else {
-                    continue;
-                };
-                if !intermediates.contains(&atom.pred) {
-                    continue;
-                }
-                let defs: Vec<&Rule> = rules_snapshot
-                    .iter()
-                    .filter(|r| r.head.atom().is_some_and(|h| h.pred == atom.pred))
-                    .collect();
-                let [def] = defs.as_slice() else { continue };
-                let Some(dh) = def.head.atom() else { continue };
-                // Single positive-atom body only.
-                let [Literal::Atom {
-                    atom: def_atom,
-                    negated: false,
-                }] = def.body.as_slice()
-                else {
-                    continue;
-                };
-                // Distinct-variable head.
-                let head_vars: Vec<&str> = dh.terms.iter().filter_map(Term::as_var).collect();
-                if head_vars.len() != dh.terms.len()
-                    || head_vars.iter().collect::<BTreeSet<_>>().len() != head_vars.len()
-                {
-                    continue;
-                }
-                let map: BTreeMap<&str, &Term> =
-                    head_vars.iter().copied().zip(atom.terms.iter()).collect();
-                let mut anon = 0usize;
-                let new_terms: Vec<Term> = def_atom
-                    .terms
-                    .iter()
-                    .map(|t| match t {
-                        Term::Var(v) => {
-                            map.get(v.as_str()).map(|&t| t.clone()).unwrap_or_else(|| {
-                                // Existential in the definition: anonymous
-                                // in the negated literal.
-                                anon += 1;
-                                Term::Var(format!("_#neg{anon}"))
-                            })
-                        }
-                        Term::Const(_) => t.clone(),
-                    })
-                    .collect();
-                *atom = Atom::new(def_atom.pred.clone(), new_terms);
-                changed = true;
+        for lit in &mut out.body {
+            let Literal::Atom { atom, .. } = lit else {
+                continue;
+            };
+            if atom.pred.kind != DeltaKind::None {
+                continue;
             }
+            let mut defs = program
+                .proper_rules()
+                .filter(|r| r.head.atom().is_some_and(|h| h.pred == atom.pred));
+            let (Some(def), None) = (defs.next(), defs.next()) else {
+                continue;
+            };
+            let Some(dh) = def.head.atom() else { continue };
+            let [Literal::Atom {
+                atom: def_atom,
+                negated: false,
+            }] = def.body.as_slice()
+            else {
+                continue;
+            };
+            let head_vars: Vec<&str> = dh.terms.iter().filter_map(Term::as_var).collect();
+            if head_vars.len() != dh.terms.len()
+                || head_vars.iter().collect::<BTreeSet<_>>().len() != head_vars.len()
+            {
+                continue;
+            }
+            let map: BTreeMap<&str, &Term> =
+                head_vars.iter().copied().zip(atom.terms.iter()).collect();
+            let new_terms: Vec<Term> = def_atom
+                .terms
+                .iter()
+                .map(|t| match t {
+                    Term::Var(v) => map.get(v.as_str()).map(|&x| x.clone()).unwrap_or_else(|| {
+                        anon += 1;
+                        Term::Var(format!("_#inl{anon}"))
+                    }),
+                    Term::Const(_) => t.clone(),
+                })
+                .collect();
+            *atom = Atom::new(def_atom.pred.clone(), new_terms);
+            changed = true;
         }
         if !changed {
             break;
         }
     }
+    out
 }
 
 /// Remove intermediate rules no delta rule (transitively) references.

@@ -16,7 +16,8 @@
 //!   the bounded solver's domain bound.
 //! * [`incremental`] — the incrementalization of §5: the LVGN shortcut of
 //!   Lemma 5.2 and the general binarize-then-rewrite pipeline of
-//!   Appendix C (Figure 7).
+//!   Appendix C (Figure 7), plus [`inline_simple_defs`], the one inliner
+//!   the engine's constraint checks share with it.
 //! * [`putget`] — construction of the `newsource` / `putget` programs used
 //!   by the PutGet check (§4.4), shared with the engine's runtime.
 
@@ -28,7 +29,9 @@ pub mod strategy;
 pub mod validate;
 
 pub use error::CoreError;
-pub use incremental::{incrementalize, incrementalize_general, incrementalize_lvgn};
+pub use incremental::{
+    incrementalize, incrementalize_general, incrementalize_lvgn, inline_simple_defs,
+};
 pub use linear_view::{LinearViewForm, ViewPolarity};
 pub use putget::{build_newsource_rules, build_putget_program};
 pub use strategy::UpdateStrategy;

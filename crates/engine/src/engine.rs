@@ -2,10 +2,10 @@
 
 use crate::algorithm2::derive_view_delta;
 use crate::error::{EngineError, EngineResult};
-use birds_core::{incrementalize, validate, UpdateStrategy};
+use birds_core::{incrementalize, inline_simple_defs, validate, UpdateStrategy};
 use birds_datalog::{parse_program, Atom, DeltaKind, Literal, PredRef, Program, Rule};
 use birds_eval::{
-    evaluate_program, evaluate_query, rule_has_witness, EvalContext, PlanCache, RulePlan,
+    evaluate_program, evaluate_query, rule_has_witness, EvalContext, PlanCache, PlanStats, RulePlan,
 };
 use birds_sql::{parse_script, DmlStatement};
 use birds_store::{
@@ -65,6 +65,10 @@ struct RegisteredView {
     /// The strategy's constraints, prepared once for the per-update
     /// check.
     checks: Vec<ConstraintCheck>,
+    /// Compiled plans of every rule a commit on this view evaluates:
+    /// ∂put (or putback) rules, constraint checks and their support
+    /// rules. Cascades into a sub-view use the sub-view's plans.
+    plans: PlanCache,
 }
 
 /// One constraint of a registered view, prepared at registration for
@@ -225,11 +229,6 @@ pub struct ViewDefinition {
 pub struct Engine {
     db: Database,
     views: BTreeMap<String, RegisteredView>,
-    /// Session-wide compiled-plan cache: every evaluation the engine runs
-    /// (materialization, warm-up, delta computation, constraint checks)
-    /// shares it, so a rule is planned once per engine session and every
-    /// subsequent `put` replays the compiled plan.
-    plan_cache: PlanCache,
     /// When enabled, every relation name resolved during evaluation is
     /// recorded here — the observed read set the declared footprints are
     /// checked against (see the footprint conformance tests).
@@ -252,31 +251,14 @@ impl Engine {
         Engine {
             db,
             views: BTreeMap::new(),
-            plan_cache: PlanCache::new(),
             read_trace: None,
         }
     }
 
-    /// The session's compiled-plan cache (sizes and hit/miss counters —
-    /// used by tests and diagnostics).
-    pub fn plan_cache(&self) -> &PlanCache {
-        &self.plan_cache
-    }
-
-    /// Drop all compiled plans. Plans embed greedy join orders chosen
-    /// from the relation sizes seen when each rule was first planned;
-    /// call this after mutating base tables wholesale (outside the view
-    /// update path) so the next evaluation replans against current sizes.
-    pub fn clear_plan_cache(&mut self) {
-        self.plan_cache.clear();
-    }
-
-    /// Enable or disable range pushdown for plans compiled from now on
-    /// (enabled by default). Toggling drops already-compiled plans —
-    /// they embed the old setting. Used by benchmarks to measure the
-    /// hash-only baseline.
-    pub fn set_range_pushdown(&mut self, on: bool) {
-        self.plan_cache.set_range_pushdown(on);
+    /// Plan counts and hit/miss counters summed over every registered
+    /// view's plans (used by tests and diagnostics).
+    pub fn plan_cache(&self) -> PlanStats {
+        self.views.values().map(|rv| rv.plans.stats()).sum()
     }
 
     /// The dependency footprint of a registered view (see
@@ -288,20 +270,20 @@ impl Engine {
     /// The compiled plan of every rule a commit on `view` evaluates: each
     /// putback rule (`∂put` in incremental mode), then each prepared
     /// constraint check (the `⊥`-headed rules). Plans come from — and
-    /// stay in — the session cache, so these are the plans updates
+    /// stay in — the view's cache, so these are the plans updates
     /// replay; a rule not planned yet is planned now, against empty view
     /// deltas, exactly as the registration warm-up does.
     pub fn explain(&mut self, view: &str) -> EngineResult<Vec<(Rule, Arc<RulePlan>)>> {
         let rv = self
             .views
-            .get(view)
+            .get_mut(view)
             .ok_or_else(|| EngineError::NotAView(view.to_owned()))?;
         let arity = rv.strategy.view.arity();
         let insertions = Relation::new(PredRef::ins(view).flat_name(), arity);
         let program = rv.incremental.as_ref().unwrap_or(&rv.strategy.putdelta);
         let mut plans = Vec::new();
         {
-            let mut ctx = EvalContext::with_plan_cache(&mut self.db, &mut self.plan_cache);
+            let mut ctx = EvalContext::with_plan_cache(&mut self.db, &mut rv.plans);
             if rv.mode == StrategyMode::Incremental {
                 ctx.insert_overlay(insertions.clone());
                 ctx.insert_overlay(Relation::new(PredRef::del(view).flat_name(), arity));
@@ -316,7 +298,7 @@ impl Engine {
             }
         }
         for check in &rv.checks {
-            let mut ctx = check.context(&mut self.db, &mut self.plan_cache, None, &insertions)?;
+            let mut ctx = check.context(&mut self.db, &mut rv.plans, None, &insertions)?;
             plans.push((check.rule.clone(), ctx.plan_for(&check.rule)?));
         }
         Ok(plans)
@@ -343,9 +325,8 @@ impl Engine {
     /// [`Engine`] — commits on views in different components touch
     /// disjoint data, so a service can run them under independent locks
     /// with full `&mut` access. Components are returned in deterministic
-    /// order (sorted by their smallest relation name) and each starts
-    /// from a clone of the session plan cache, keeping every warm-up
-    /// plan. [`Engine::absorb`] reverses the split.
+    /// order (sorted by their smallest relation name); each view takes
+    /// its compiled plans with it. [`Engine::absorb`] reverses the split.
     pub fn split_components(mut self) -> Vec<Engine> {
         let mut groups: Vec<BTreeSet<String>> = Vec::new();
         for rv in self.views.values() {
@@ -382,7 +363,6 @@ impl Engine {
                 Engine {
                     db,
                     views,
-                    plan_cache: self.plan_cache.clone(),
                     read_trace: self.read_trace.clone(),
                 }
             })
@@ -402,7 +382,6 @@ impl Engine {
             self.db.set_relation(rel);
         }
         self.views.extend(other.views);
-        self.plan_cache.absorb(other.plan_cache);
         Ok(())
     }
 
@@ -547,10 +526,10 @@ impl Engine {
         Ok(merged)
     }
 
-    /// Deregister a view: drop its strategy and its materialized
-    /// relation. The view's source relations stay (they may hold data
-    /// and other views may read them); on a re-split they become free
-    /// relations. Fails without modifying anything when the view is a
+    /// Deregister a view: drop its strategy, its compiled plans and its
+    /// materialized relation. The view's source relations stay (they may
+    /// hold data and other views may read them); on a re-split they
+    /// become free relations. Fails without modifying anything when the view is a
     /// cascade target of another registered view — that view's delta
     /// rules write into this one, so removing it would break the
     /// dependent's update path.
@@ -565,8 +544,6 @@ impl Engine {
         }
         self.views.remove(name);
         self.db.remove_relation(name);
-        // Compiled plans may probe the removed relation by name.
-        self.clear_plan_cache();
         Ok(())
     }
 
@@ -624,11 +601,11 @@ impl Engine {
                 )));
             }
         }
-        // Materialize the view.
+        // Materialize the view (one-shot: a private plan cache).
         let mut rel = if get.is_empty() {
             Relation::new(name.clone(), strategy.view.arity())
         } else {
-            let mut ctx = EvalContext::with_plan_cache(&mut self.db, &mut self.plan_cache);
+            let mut ctx = EvalContext::new(&mut self.db);
             if let Some(sink) = self.read_trace.as_deref() {
                 ctx.trace_reads_into(sink);
             }
@@ -647,7 +624,8 @@ impl Engine {
         // view relation into the database — a live service re-splits the
         // engine after a failed registration and a leaked relation would
         // silently become a free singleton shard.
-        let incremental = match self.warm_up_registration(&name, &strategy, mode) {
+        let mut plans = PlanCache::new();
+        let incremental = match self.warm_up_registration(&name, &strategy, mode, &mut plans) {
             Ok(incremental) => incremental,
             Err(e) => {
                 self.db.remove_relation(&name);
@@ -665,20 +643,22 @@ impl Engine {
                 mode,
                 footprint,
                 checks,
+                plans,
             },
         );
         Ok(())
     }
 
     /// Incrementalize (when asked) and run the warm-up evaluation for a
-    /// view being registered. Factored out of
-    /// [`Engine::register_view_unchecked`] so the caller can roll the
-    /// materialized relation back if either step fails.
+    /// view being registered, compiling its plans into `plans`. Factored
+    /// out of [`Engine::register_view_unchecked`] so the caller can roll
+    /// the materialized relation back if either step fails.
     fn warm_up_registration(
         &mut self,
         name: &str,
         strategy: &UpdateStrategy,
         mode: StrategyMode,
+        plans: &mut PlanCache,
     ) -> EngineResult<Option<Program>> {
         let incremental = if mode == StrategyMode::Incremental {
             Some(incrementalize(strategy).map_err(|e| EngineError::Registration(e.to_string()))?)
@@ -689,13 +669,11 @@ impl Engine {
         // to build every base-table index the strategy's plans probe, so
         // the first real update doesn't pay an O(|S|) index build (the
         // paper's PostgreSQL setup has its B-trees before measuring). The
-        // warm-up also populates the session plan cache: the delta
-        // relations are empty — the smallest they will ever be — so the
-        // greedy planner pins exactly the delta-driven join orders that
-        // subsequent updates want, and real updates replay compiled plans.
+        // warm-up also compiles the view's plans, delta-first, and real
+        // updates replay them.
         let t = std::time::Instant::now();
         let program = incremental.as_ref().unwrap_or(&strategy.putdelta);
-        let mut ctx = EvalContext::with_plan_cache(&mut self.db, &mut self.plan_cache);
+        let mut ctx = EvalContext::with_plan_cache(&mut self.db, plans);
         if let Some(sink) = self.read_trace.as_deref() {
             ctx.trace_reads_into(sink);
         }
@@ -726,7 +704,7 @@ impl Engine {
         let tuples: Vec<Tuple> = if rv.get.is_empty() {
             vec![]
         } else {
-            let mut ctx = EvalContext::with_plan_cache(&mut self.db, &mut self.plan_cache);
+            let mut ctx = EvalContext::new(&mut self.db);
             if let Some(sink) = self.read_trace.as_deref() {
                 ctx.trace_reads_into(sink);
             }
@@ -738,9 +716,6 @@ impl Engine {
             .relation_mut(name)
             .ok_or_else(|| EngineError::NotAView(name.to_owned()))?;
         target.replace_all(tuples)?;
-        // Refreshes follow direct base-table mutation, which can change
-        // relation sizes wholesale; cached join orders are stale.
-        self.clear_plan_cache();
         Ok(())
     }
 
@@ -885,7 +860,7 @@ impl Engine {
         // strategy or its incrementalized program.
         let rv = self
             .views
-            .get(view_name)
+            .get_mut(view_name)
             .ok_or_else(|| EngineError::NotAView(view_name.to_owned()))?;
         let mode = rv.mode;
 
@@ -903,7 +878,7 @@ impl Engine {
         let delta_set: DeltaSet = match mode {
             StrategyMode::Incremental => {
                 let program = rv.incremental.as_ref().expect("incremental mode has ∂put");
-                let mut ctx = EvalContext::with_plan_cache(&mut self.db, &mut self.plan_cache);
+                let mut ctx = EvalContext::with_plan_cache(&mut self.db, &mut rv.plans);
                 if let Some(sink) = self.read_trace.as_deref() {
                     ctx.trace_reads_into(sink);
                 }
@@ -918,7 +893,7 @@ impl Engine {
             }
             StrategyMode::Original => {
                 mutate_view_relation(&mut self.db, view_name, &delta, false)?;
-                let mut ctx = EvalContext::with_plan_cache(&mut self.db, &mut self.plan_cache);
+                let mut ctx = EvalContext::with_plan_cache(&mut self.db, &mut rv.plans);
                 if let Some(sink) = self.read_trace.as_deref() {
                     ctx.trace_reads_into(sink);
                 }
@@ -945,7 +920,7 @@ impl Engine {
         let t_check = std::time::Instant::now();
         if let Err(e) = check_constraints(
             &mut self.db,
-            &mut self.plan_cache,
+            &mut rv.plans,
             self.read_trace.as_deref(),
             view_name,
             &rv.checks,
@@ -1053,66 +1028,6 @@ fn check_constraints(
         }
     }
     Ok(())
-}
-
-/// Inline intermediate predicates defined by exactly one rule with a
-/// single positive body atom into `rule` (both polarities). Definition
-/// body variables that are existential become anonymous variables in the
-/// inlined literal, preserving the `∃` reading. Non-simple definitions
-/// are left for support materialization.
-fn inline_simple_defs(rule: &Rule, program: &Program) -> Rule {
-    use birds_datalog::Term;
-    let mut out = rule.clone();
-    let mut anon = 0usize;
-    for _ in 0..4 {
-        let mut changed = false;
-        for lit in &mut out.body {
-            let Literal::Atom { atom, .. } = lit else {
-                continue;
-            };
-            if atom.pred.kind != DeltaKind::None {
-                continue;
-            }
-            let defs: Vec<&Rule> = program
-                .proper_rules()
-                .filter(|r| r.head.atom().is_some_and(|h| h.pred == atom.pred))
-                .collect();
-            let [def] = defs.as_slice() else { continue };
-            let Some(dh) = def.head.atom() else { continue };
-            let [Literal::Atom {
-                atom: def_atom,
-                negated: false,
-            }] = def.body.as_slice()
-            else {
-                continue;
-            };
-            let head_vars: Vec<&str> = dh.terms.iter().filter_map(Term::as_var).collect();
-            if head_vars.len() != dh.terms.len()
-                || head_vars.iter().collect::<HashSet<_>>().len() != head_vars.len()
-            {
-                continue;
-            }
-            let map: std::collections::HashMap<&str, &Term> =
-                head_vars.iter().copied().zip(atom.terms.iter()).collect();
-            let new_terms: Vec<Term> = def_atom
-                .terms
-                .iter()
-                .map(|t| match t {
-                    Term::Var(v) => map.get(v.as_str()).map(|&x| x.clone()).unwrap_or_else(|| {
-                        anon += 1;
-                        Term::Var(format!("_#cc{anon}"))
-                    }),
-                    Term::Const(_) => t.clone(),
-                })
-                .collect();
-            *atom = Atom::new(def_atom.pred.clone(), new_terms);
-            changed = true;
-        }
-        if !changed {
-            break;
-        }
-    }
-    out
 }
 
 /// Compute a view's dependency footprint at registration time.
@@ -1734,29 +1649,35 @@ mod tests {
     }
 
     #[test]
-    fn refresh_view_drops_stale_plans() {
-        // refresh_view follows direct base-table mutation; join orders
-        // planned against the old sizes must not survive it.
-        let mut engine = union_engine(StrategyMode::Incremental);
-        engine.execute("INSERT INTO v VALUES (3);").unwrap();
-        assert!(!engine.plan_cache().is_empty());
-        engine.refresh_view("v").unwrap();
-        assert!(engine.plan_cache().is_empty());
+    fn unregistering_a_view_keeps_the_other_views_plans() {
+        let mut engine = Engine::merge(two_component_engine().split_components()).unwrap();
+        engine.execute("INSERT INTO v2 VALUES (5);").unwrap();
+        engine.unregister_view("v1").unwrap();
+        let misses = engine.plan_cache().misses();
+        engine.execute("INSERT INTO v2 VALUES (6);").unwrap();
+        assert_eq!(
+            engine.plan_cache().misses(),
+            misses,
+            "v2's next update replays its plans"
+        );
     }
 
     #[test]
-    fn range_pushdown_toggle_drops_plans() {
-        let mut engine = union_engine(StrategyMode::Incremental);
-        engine.execute("INSERT INTO v VALUES (3);").unwrap();
-        assert!(!engine.plan_cache().is_empty());
-        engine.set_range_pushdown(false);
-        assert!(engine.plan_cache().is_empty(), "setting changed");
-        engine.set_range_pushdown(false);
-        engine.execute("INSERT INTO v VALUES (5);").unwrap();
+    fn split_components_moves_plans_without_copying_them() {
+        let engine = two_component_engine();
         let planned = engine.plan_cache().len();
-        engine.set_range_pushdown(false); // same value: plans survive
-        assert_eq!(engine.plan_cache().len(), planned);
-        // The engine still computes the same results either way.
-        assert!(engine.relation("v").unwrap().contains(&tuple![5]));
+        assert!(planned > 0);
+        let mut components = engine.split_components();
+        let per_component: Vec<usize> = components.iter().map(|c| c.plan_cache().len()).collect();
+        assert_eq!(
+            per_component.iter().sum::<usize>(),
+            planned,
+            "{per_component:?}"
+        );
+        // Each view's component holds that view's plans: no re-planning.
+        let c1 = components.iter_mut().find(|e| e.is_view("v1")).unwrap();
+        let misses = c1.plan_cache().misses();
+        c1.execute("INSERT INTO v1 VALUES (9);").unwrap();
+        assert_eq!(c1.plan_cache().misses(), misses);
     }
 }

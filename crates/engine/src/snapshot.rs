@@ -91,9 +91,10 @@ impl Engine {
     /// same names, same arities. A mismatch (a view added or dropped
     /// since the snapshot was taken, an arity change) is a schema
     /// migration, which this subsystem deliberately refuses to guess at:
-    /// the restore fails without modifying the engine. On success the
-    /// plan cache is cleared so the next evaluation replans against the
-    /// restored relation sizes, and secondary indexes are rebuilt.
+    /// the restore fails without modifying the engine. On success
+    /// secondary indexes are rebuilt; plans costed against relation sizes
+    /// the restore changed by more than their drift factor re-plan on
+    /// first use.
     pub fn restore(&mut self, mut r: impl Read) -> EngineResult<()> {
         let relations = read_snapshot(&mut r)?;
         // Validate the full set before touching anything.
@@ -130,7 +131,6 @@ impl Engine {
                 .expect("validated above");
             target.replace_all(rel.into_tuples())?;
         }
-        self.clear_plan_cache();
         Ok(())
     }
 }

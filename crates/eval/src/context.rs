@@ -12,9 +12,12 @@
 //!
 //! Rule plans are served through the context as well ([`EvalContext::plan_for`]).
 //! A context created with [`EvalContext::new`] owns a private [`PlanCache`]
-//! (plans are reused within that context's lifetime); the engine instead
-//! lends its session-wide cache via [`EvalContext::with_plan_cache`], so
-//! repeated updates never replan a rule.
+//! (one-shot work such as materializing a view); the engine instead lends
+//! the cache of the view being updated via [`EvalContext::with_plan_cache`],
+//! so repeated updates replay that view's plans. Whether a cached plan is
+//! still good is decided here, not by callers: the evaluator compares the
+//! stored relations a rule reads against the sizes its plan was costed at
+//! and re-plans on drift ([`crate::plan::RulePlan::drifted`]).
 
 use crate::error::EvalResult;
 use crate::plan::{plan_rule, PlanCache, RulePlan};
@@ -72,10 +75,37 @@ impl<'a> EvalContext<'a> {
         self.read_trace = Some(sink);
     }
 
-    /// The compiled plan for `rule`: cached if available, planned (and
-    /// cached) otherwise.
+    /// The compiled plan for `rule`: the cached one unless a stored
+    /// relation it reads has drifted, planned (and cached) otherwise —
+    /// the plan evaluating `rule` here would run.
     pub fn plan_for(&mut self, rule: &Rule) -> EvalResult<Arc<RulePlan>> {
-        if let Some(plan) = self.plans_mut().get(rule) {
+        let cached = self.cached_plan(rule).filter(|plan| {
+            !rule.body.iter().enumerate().any(|(i, lit)| {
+                lit.atom()
+                    .and_then(|a| self.relation_len(&a.pred.flat_name()))
+                    .is_some_and(|len| plan.drifted(i, len))
+            })
+        });
+        self.cached_or_planned(rule, cached)
+    }
+
+    /// The cached plan for `rule`, if any (not counted as a lookup).
+    pub(crate) fn cached_plan(&self, rule: &Rule) -> Option<Arc<RulePlan>> {
+        match &self.plans {
+            Plans::Owned(c) => c.get(rule),
+            Plans::Shared(c) => c.get(rule),
+        }
+    }
+
+    /// `cached` as a cache hit, or — when it is `None` (never planned, or
+    /// rejected as drifted) — a fresh plan for `rule`, cached as a miss.
+    pub(crate) fn cached_or_planned(
+        &mut self,
+        rule: &Rule,
+        cached: Option<Arc<RulePlan>>,
+    ) -> EvalResult<Arc<RulePlan>> {
+        if let Some(plan) = cached {
+            self.plans_mut().hit();
             return Ok(plan);
         }
         let plan = Arc::new(plan_rule(rule, self)?);
@@ -141,15 +171,6 @@ impl<'a> EvalContext<'a> {
         Ok(()) // unknown relations are reported later by the evaluator
     }
 
-    /// Is range pushdown enabled for plans compiled through this
-    /// context's cache?
-    pub fn range_pushdown(&self) -> bool {
-        match &self.plans {
-            Plans::Owned(c) => c.range_pushdown(),
-            Plans::Shared(c) => c.range_pushdown(),
-        }
-    }
-
     /// Distinct-key count of an existing index over `col` on the named
     /// relation (the planner's selectivity input); `None` when the
     /// relation is unknown or the column has no index yet.
@@ -174,6 +195,16 @@ impl<'a> EvalContext<'a> {
     /// planner's greedy ordering).
     pub fn relation_len(&self, name: &str) -> Option<usize> {
         self.relation(name).map(Relation::len)
+    }
+
+    /// Size of the named *stored* relation: `None` when the name is an
+    /// overlay (or unknown). What a plan records as the sizes it was
+    /// costed against.
+    pub(crate) fn stored_len(&self, name: &str) -> Option<usize> {
+        if self.overlay.contains_key(name) {
+            return None;
+        }
+        self.base.relation(name).map(Relation::len)
     }
 }
 

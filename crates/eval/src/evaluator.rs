@@ -4,7 +4,8 @@
 //! numeric register slots; execution runs over a flat `Vec<Option<Value>>`
 //! frame. There is no string-keyed binding map, no per-candidate tuple
 //! cloning (probe results are borrowed straight out of the store), and no
-//! per-call replanning — plans come from the context's [`crate::PlanCache`].
+//! per-call replanning — plans come from the context's [`crate::PlanCache`]
+//! and are re-planned only when a stored relation they read has drifted.
 
 use crate::context::EvalContext;
 use crate::error::{EvalError, EvalResult};
@@ -142,8 +143,10 @@ fn eval_rule(
         return Ok(());
     }
 
-    // Validate arities of all body atoms up front.
-    for lit in &rule.body {
+    // Validate arities of all body atoms up front. The same pass drops a
+    // cached plan whose stored relations drifted from its costed sizes.
+    let mut cached = ctx.cached_plan(rule);
+    for (i, lit) in rule.body.iter().enumerate() {
         if let Some(a) = lit.atom() {
             let flat = a.pred.flat_name();
             let rel = ctx
@@ -156,10 +159,13 @@ fn eval_rule(
                     found: a.arity(),
                 });
             }
+            if cached.as_ref().is_some_and(|p| p.drifted(i, rel.len())) {
+                cached = None;
+            }
         }
     }
 
-    let plan = ctx.plan_for(rule)?;
+    let plan = ctx.cached_or_planned(rule, cached)?;
     for (name, cols) in &plan.index_requests {
         ctx.ensure_index(name, cols)?;
     }
@@ -784,6 +790,36 @@ mod tests {
             evaluate_program(&program, &mut ctx),
             Err(EvalError::SortMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn drifted_stored_relation_replans_and_overlays_never_do() {
+        let mut db = Database::new();
+        db.add_relation(Relation::with_tuples("r", 1, vec![tuple![1]]).unwrap())
+            .unwrap();
+        let program = parse_program("h(X) :- +v(X), r(X).").unwrap();
+        let mut cache = crate::PlanCache::new();
+        let mut run = |db: &mut Database, overlay: i64| {
+            let mut ctx = EvalContext::with_plan_cache(db, &mut cache);
+            let delta = Relation::with_tuples("+v", 1, (0..overlay).map(|i| tuple![i])).unwrap();
+            ctx.insert_overlay(delta);
+            evaluate_program(&program, &mut ctx).unwrap();
+            ctx.cached_plan(&program.rules[0]).unwrap()
+        };
+        let first = run(&mut db, 1);
+        let same = run(&mut db, 20_000);
+        assert!(
+            std::sync::Arc::ptr_eq(&first, &same),
+            "a big delta is not drift"
+        );
+        let r = db.relation_mut("r").unwrap();
+        for i in 2..=5_000 {
+            r.insert(tuple![i]).unwrap();
+        }
+        let replanned = run(&mut db, 1);
+        assert!(!std::sync::Arc::ptr_eq(&first, &replanned), "r grew 5000×");
+        assert_eq!(replanned.costed, vec![None, Some(5_000)]);
+        assert!(std::sync::Arc::ptr_eq(&replanned, &run(&mut db, 1)));
     }
 
     #[test]

@@ -22,4 +22,4 @@ pub use evaluator::{
     eval_rule_into, evaluate_program, evaluate_query, rule_has_witness, violated_constraints,
     EvalOutput,
 };
-pub use plan::{plan_rule, PlanCache, RulePlan};
+pub use plan::{plan_rule, PlanCache, PlanStats, RulePlan};

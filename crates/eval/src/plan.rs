@@ -22,9 +22,13 @@
 //! the compiled [`Step`]s carry slot numbers instead of variable names:
 //! the evaluator runs over a flat `Vec<Option<Value>>` frame with no
 //! string hashing and no per-binding map operations. Plans are immutable
-//! and cacheable (see [`PlanCache`]) — a rule is planned once per engine
-//! session and re-executed from its compiled form on every subsequent
-//! update.
+//! and cacheable (see [`PlanCache`]): the engine keeps one cache per
+//! registered view, so a rule is planned when its view registers and
+//! replayed from its compiled form on every later update. A plan records
+//! the size of every stored relation it was costed against, and the
+//! evaluator re-plans it when one of them has drifted more than
+//! [`DRIFT_FACTOR`]× (see [`RulePlan::drifted`]) — a bulk load, a
+//! restore or a replay re-plans on first use, with nobody to remember it.
 //!
 //! ## Range pushdown
 //!
@@ -244,40 +248,52 @@ pub struct RulePlan {
     /// `(relation flat name, column)` ordered indexes the plan's range
     /// scans will probe.
     pub ordered_requests: Vec<(String, usize)>,
+    /// Parallel to `rule.body`: the size of the *stored* relation each
+    /// atom literal read when the plan was costed. `None` for builtins
+    /// and for overlays (view deltas, intermediates): delta-first already
+    /// orders those, and their size changes with every update.
+    pub costed: Vec<Option<usize>>,
 }
 
-/// A cache of compiled [`RulePlan`]s keyed by rule identity (structural
-/// equality of the [`Rule`] AST).
+/// How far (as a ratio, either way) a stored relation may drift from the
+/// size a plan was costed at before the plan is re-planned.
+pub const DRIFT_FACTOR: usize = 4;
+
+/// Sizes below this count as this when checking drift: a table empty at
+/// registration re-plans once it is loaded, not on its first rows.
+pub const SIZE_FLOOR: usize = 1024;
+
+impl RulePlan {
+    /// Is body literal `literal`, now reading a relation of `len`
+    /// tuples, more than [`DRIFT_FACTOR`]× off the stored size this plan
+    /// was costed at (both sides floored at [`SIZE_FLOOR`])? Always
+    /// `false` for literals the plan did not cost (builtins, overlays).
+    pub fn drifted(&self, literal: usize, len: usize) -> bool {
+        let Some(&Some(costed)) = self.costed.get(literal) else {
+            return false;
+        };
+        let (was, now) = (costed.max(SIZE_FLOOR), len.max(SIZE_FLOOR));
+        was.max(now) > was.min(now) * DRIFT_FACTOR
+    }
+}
+
+/// The compiled [`RulePlan`]s of one registered view, keyed by rule
+/// identity (structural equality of the [`Rule`] AST).
 ///
-/// The engine owns one cache per session and threads it through every
-/// [`EvalContext`] it creates, so `put` over repeated deltas — the Figure 6
-/// loop — plans each rule exactly once: the registration-time warm-up pays
-/// the planning cost, and every subsequent update replays compiled plans.
-/// Hit/miss counters are exposed for tests and diagnostics.
-///
-/// The cache is `Clone` (plans are `Arc`-shared, so cloning is shallow):
-/// when an engine is split into footprint shards, each shard starts from
-/// a clone of the session cache and keeps every warm-up plan.
-#[derive(Debug, Clone)]
+/// Each view owns one cache for its ∂put (or putback) rules, its
+/// constraint checks and their support rules, and lends it to every
+/// [`EvalContext`] that evaluates them, so `put` over repeated deltas —
+/// the Figure 6 loop — plans each rule once: the registration-time
+/// warm-up pays the planning cost, and every subsequent update replays
+/// compiled plans until [`RulePlan::drifted`] says a relation's size has
+/// moved too far. The cache moves with its view when an engine is split
+/// or merged and is dropped with it. Hit/miss counters are exposed (via
+/// [`PlanCache::stats`]) for tests and diagnostics.
+#[derive(Debug, Default)]
 pub struct PlanCache {
     plans: HashMap<Rule, Arc<RulePlan>>,
     hits: u64,
     misses: u64,
-    /// Whether newly compiled plans may push comparison guards into
-    /// range scans (on by default; benchmarks flip it off to measure
-    /// the hash-only baseline).
-    range_pushdown: bool,
-}
-
-impl Default for PlanCache {
-    fn default() -> Self {
-        PlanCache {
-            plans: HashMap::new(),
-            hits: 0,
-            misses: 0,
-            range_pushdown: true,
-        }
-    }
 }
 
 impl PlanCache {
@@ -286,73 +302,67 @@ impl PlanCache {
         Self::default()
     }
 
-    /// Is range pushdown enabled for plans compiled through this cache?
-    pub fn range_pushdown(&self) -> bool {
-        self.range_pushdown
-    }
-
-    /// Enable or disable range pushdown. Changing the setting drops every
-    /// compiled plan — cached plans embed the decision, so a stale plan
-    /// would silently keep the old behaviour.
-    pub fn set_range_pushdown(&mut self, on: bool) {
-        if self.range_pushdown != on {
-            self.plans.clear();
+    /// The cache's plan count and lookup counters.
+    pub fn stats(&self) -> PlanStats {
+        PlanStats {
+            plans: self.plans.len(),
+            hits: self.hits,
+            misses: self.misses,
         }
-        self.range_pushdown = on;
     }
 
-    /// Number of distinct rules with a compiled plan.
-    pub fn len(&self) -> usize {
-        self.plans.len()
+    pub(crate) fn get(&self, rule: &Rule) -> Option<Arc<RulePlan>> {
+        self.plans.get(rule).cloned()
     }
 
-    /// `true` when no plan has been compiled yet.
-    pub fn is_empty(&self) -> bool {
-        self.plans.is_empty()
-    }
-
-    /// Number of lookups answered from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of lookups that had to plan.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Drop every compiled plan (counters are kept). Join orders are
-    /// pinned against the relation sizes seen at planning time; after a
-    /// bulk load that changes base-table sizes by orders of magnitude,
-    /// clearing the cache lets the greedy planner re-derive orders on the
-    /// next evaluation.
-    pub fn clear(&mut self) {
-        self.plans.clear();
-    }
-
-    /// Merge another cache into this one (plans from `other` win on a key
-    /// collision — both sides compiled the same rule, the plans are
-    /// equivalent) and fold its counters in. Used when footprint-sharded
-    /// engines are merged back into one.
-    pub fn absorb(&mut self, other: PlanCache) {
-        self.plans.extend(other.plans);
-        self.hits += other.hits;
-        self.misses += other.misses;
-    }
-
-    pub(crate) fn get(&mut self, rule: &Rule) -> Option<Arc<RulePlan>> {
-        match self.plans.get(rule) {
-            Some(p) => {
-                self.hits += 1;
-                Some(p.clone())
-            }
-            None => None,
-        }
+    pub(crate) fn hit(&mut self) {
+        self.hits += 1;
     }
 
     pub(crate) fn insert(&mut self, rule: &Rule, plan: Arc<RulePlan>) {
         self.misses += 1;
         self.plans.insert(rule.clone(), plan);
+    }
+}
+
+/// Plan counts of one [`PlanCache`], or summed over several (an engine
+/// reports the sum over its views).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanStats {
+    plans: usize,
+    hits: u64,
+    misses: u64,
+}
+
+impl PlanStats {
+    /// Number of distinct rules with a compiled plan.
+    pub fn len(&self) -> usize {
+        self.plans
+    }
+
+    /// `true` when no plan has been compiled.
+    pub fn is_empty(&self) -> bool {
+        self.plans == 0
+    }
+
+    /// Number of lookups answered from a cache.
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Number of lookups that had to plan (first use or drift).
+    pub fn misses(&self) -> u64 {
+        self.misses
+    }
+}
+
+impl std::iter::Sum for PlanStats {
+    fn sum<I: Iterator<Item = PlanStats>>(iter: I) -> PlanStats {
+        iter.fold(PlanStats::default(), |a, b| PlanStats {
+            plans: a.plans + b.plans,
+            hits: a.hits + b.hits,
+            misses: a.misses + b.misses,
+        })
     }
 }
 
@@ -759,7 +769,7 @@ pub fn plan_rule(rule: &Rule, ctx: &EvalContext) -> EvalResult<RulePlan> {
         // now-ready comparison guards becomes a RangeScan (partial
         // probes are already O(bucket); only full scans have the
         // selection cliff worth absorbing).
-        if ctx.range_pushdown() && compiled.probe_cols.is_empty() {
+        if compiled.probe_cols.is_empty() {
             if let Some((col, guards)) =
                 absorb_range_guards(rule, &compiled, &mut remaining, &slots)
             {
@@ -795,12 +805,18 @@ pub fn plan_rule(rule: &Rule, ctx: &EvalContext) -> EvalResult<RulePlan> {
         ),
     };
 
+    let costed = rule
+        .body
+        .iter()
+        .map(|lit| lit.atom().and_then(|a| ctx.stored_len(&a.pred.flat_name())))
+        .collect();
     Ok(RulePlan {
         steps,
         head,
         nslots: slots.len(),
         index_requests,
         ordered_requests,
+        costed,
     })
 }
 
@@ -1020,37 +1036,6 @@ mod tests {
     }
 
     #[test]
-    fn pushdown_can_be_disabled() {
-        let mut db = db_sizes(&[("items", 2, 100)]);
-        let mut cache = PlanCache::new();
-        cache.set_range_pushdown(false);
-        let mut ctx = EvalContext::with_plan_cache(&mut db, &mut cache);
-        let rule = parse_rule("h(I) :- items(I, P), P > 50.").unwrap();
-        let plan = ctx.plan_for(&rule).unwrap();
-        assert_eq!(
-            plan.steps.iter().map(Step::kind).collect::<Vec<_>>(),
-            vec![StepKind::Join, StepKind::Filter],
-            "hash-only baseline keeps the scan+filter shape"
-        );
-        assert!(plan.ordered_requests.is_empty());
-    }
-
-    #[test]
-    fn toggling_pushdown_drops_compiled_plans() {
-        let mut cache = PlanCache::new();
-        let mut db = db_sizes(&[("r", 2, 50)]);
-        let rule = parse_rule("h(X) :- r(X, 7).").unwrap();
-        {
-            let mut ctx = EvalContext::with_plan_cache(&mut db, &mut cache);
-            ctx.plan_for(&rule).unwrap();
-        }
-        assert_eq!(cache.len(), 1);
-        cache.set_range_pushdown(false);
-        assert!(cache.is_empty(), "stale plans embed the old setting");
-        cache.set_range_pushdown(false); // no-op: same setting
-    }
-
-    #[test]
     fn selectivity_estimate_prefers_the_more_selective_probe() {
         // Both `big` and `mid` are probed on a bound column. `big` has
         // 400 tuples but a unique-key index (est 1); `mid` has 100
@@ -1161,15 +1146,47 @@ mod tests {
             let p2 = ctx.plan_for(&rule).unwrap();
             assert!(Arc::ptr_eq(&p1, &p2), "second lookup reuses the plan");
         }
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 1);
+        assert_eq!(cache.stats().len(), 1);
+        assert_eq!(cache.stats().misses(), 1);
+        assert_eq!(cache.stats().hits(), 1);
         // A fresh context over the same cache still hits.
         {
             let mut ctx = EvalContext::with_plan_cache(&mut db, &mut cache);
             ctx.plan_for(&rule).unwrap();
         }
-        assert_eq!(cache.misses(), 1, "no replanning across contexts");
-        assert_eq!(cache.hits(), 2);
+        assert_eq!(cache.stats().misses(), 1, "no replanning across contexts");
+        assert_eq!(cache.stats().hits(), 2);
+    }
+
+    #[test]
+    fn plans_cost_stored_relations_only() {
+        let mut db = db_sizes(&[("r", 2, 50)]);
+        let mut ctx = ctx_with(&mut db);
+        ctx.insert_overlay(Relation::new("+v", 1));
+        let rule = parse_rule("h(X) :- +v(X), r(X, Y), Y > 3.").unwrap();
+        let plan = plan_rule(&rule, &ctx).unwrap();
+        assert_eq!(plan.costed, vec![None, Some(50), None]);
+    }
+
+    #[test]
+    fn drift_is_a_floored_ratio() {
+        let plan = |costed: usize| RulePlan {
+            steps: vec![],
+            head: None,
+            nslots: 0,
+            index_requests: vec![],
+            ordered_requests: vec![],
+            costed: vec![Some(costed), None],
+        };
+        // Empty at registration: rows up to 4× the floor keep the plan.
+        assert!(!plan(0).drifted(0, DRIFT_FACTOR * SIZE_FLOOR));
+        assert!(plan(0).drifted(0, DRIFT_FACTOR * SIZE_FLOOR + 1));
+        // Both directions, past the floor.
+        assert!(!plan(50_000).drifted(0, 12_500));
+        assert!(plan(50_000).drifted(0, 12_499));
+        assert!(plan(50_000).drifted(0, 200_001));
+        // Uncosted literals (overlays, builtins) never drift.
+        assert!(!plan(0).drifted(1, 1_000_000));
+        assert!(!plan(0).drifted(7, 1_000_000));
     }
 }

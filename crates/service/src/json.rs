@@ -53,6 +53,7 @@ impl Json {
     /// trailing garbage rejected).
     pub fn parse(src: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            src,
             bytes: src.as_bytes(),
             pos: 0,
         };
@@ -238,6 +239,7 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -401,13 +403,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).expect("input was a &str");
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape as
+                    // one slice. Both stop bytes are ASCII, so the run
+                    // starts and ends on char boundaries of the `&str`.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.src[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -539,6 +543,29 @@ mod tests {
         assert!(Json::parse("\"unterminated").is_err());
         let err = Json::parse("[true, xyz]").unwrap_err();
         assert!(err.offset > 0);
+    }
+
+    #[test]
+    fn string_parsing_is_linear_in_content() {
+        // 16× more string content must cost far less than the 256× a
+        // per-character rescan of the rest of the document costs.
+        let literal = |reps: usize| format!("\"{}\"", "abcé\\n\\\"xyz".repeat(reps));
+        let fastest = |doc: &str| {
+            (0..5)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    let parsed = Json::parse(doc).unwrap();
+                    let elapsed = t.elapsed();
+                    assert!(parsed.as_str().unwrap().ends_with("abcé\n\"xyz"));
+                    elapsed
+                })
+                .min()
+                .unwrap()
+        };
+        let small = fastest(&literal(1 << 10));
+        let large = fastest(&literal(1 << 14));
+        let ratio = large.as_secs_f64() / small.as_secs_f64().max(1e-9);
+        assert!(ratio < 64.0, "16x the content took {ratio:.0}x the time");
     }
 
     #[test]

@@ -529,10 +529,6 @@ impl Service {
                 replay_record(&mut engine, record)?;
             }
             start_seq = recovery.max_seq;
-            // Replay can grow relations far past the sizes the snapshot
-            // restore planned against; drop those plans so the first
-            // post-recovery evaluation sees real sizes.
-            engine.clear_plan_cache();
         }
         let (components, route) = partition(engine);
         let shard_count = components.len();

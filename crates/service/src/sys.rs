@@ -44,6 +44,19 @@ pub struct EpollEvent {
     pub data: u64,
 }
 
+// The layout the kernel reads and writes: a target where this struct
+// comes out differently fails to build here instead of corrupting events.
+#[cfg(target_arch = "x86_64")]
+const _: () = {
+    assert!(std::mem::size_of::<EpollEvent>() == 12);
+    assert!(std::mem::offset_of!(EpollEvent, data) == 4);
+};
+#[cfg(not(target_arch = "x86_64"))]
+const _: () = {
+    assert!(std::mem::size_of::<EpollEvent>() == 16);
+    assert!(std::mem::offset_of!(EpollEvent, data) == 8);
+};
+
 impl EpollEvent {
     /// An empty slot for the `epoll_wait` output buffer.
     pub fn zeroed() -> EpollEvent {

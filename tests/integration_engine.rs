@@ -5,9 +5,10 @@
 use birds::benchmarks::figure6::Figure6View;
 use birds::benchmarks::{corpus, datagen};
 use birds::datalog::{Head, Literal};
-use birds::eval::plan::StepOp;
+use birds::eval::plan::{StepOp, DRIFT_FACTOR, SIZE_FLOOR};
 use birds::prelude::*;
-use birds::store::ValueSort;
+use birds::service::{DurabilityConfig, ServiceConfig};
+use birds::store::{Delta, ValueSort};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -337,4 +338,133 @@ fn every_lvgn_update_plan_starts_at_a_view_delta() {
     }
     assert!(offenders.is_empty(), "{}", offenders.join("\n"));
     assert!(checked >= 70, "only {checked} rules checked");
+}
+
+/// An engine registered (incremental) over a copy of `engine`'s current
+/// source relations — what a fresh start over the same data plans.
+fn fresh_engine_over(engine: &Engine, view: Figure6View) -> Engine {
+    let mut db = Database::new();
+    for schema in &view.strategy().source_schema.relations {
+        let rel = engine.relation(&schema.name).unwrap();
+        let copy = Relation::with_tuples(&schema.name, rel.arity(), rel.iter().cloned()).unwrap();
+        db.add_relation(copy).unwrap();
+    }
+    let mut fresh = Engine::new(db);
+    fresh
+        .register_view_unchecked(view.strategy(), view.get(), StrategyMode::Incremental)
+        .unwrap();
+    fresh
+}
+
+/// `engine`'s plans for `view` are the ones a fresh start over the same
+/// data compiles: the same rules and steps, costed at stored sizes within
+/// the drift factor of the fresh engine's.
+fn assert_plans_match_a_fresh_engine(engine: &mut Engine, view: Figure6View) {
+    let near = |a: usize, b: usize| {
+        let (a, b) = (a.max(SIZE_FLOOR), b.max(SIZE_FLOOR));
+        a.max(b) <= a.min(b) * DRIFT_FACTOR
+    };
+    let ours = engine.explain(view.name()).unwrap();
+    let fresh = fresh_engine_over(engine, view)
+        .explain(view.name())
+        .unwrap();
+    assert_eq!(ours.len(), fresh.len(), "{}", view.name());
+    for ((rule, plan), (fresh_rule, fresh_plan)) in ours.iter().zip(&fresh) {
+        assert_eq!(rule, fresh_rule);
+        assert_eq!(plan.steps, fresh_plan.steps, "`{rule}`");
+        let costed_alike = plan
+            .costed
+            .iter()
+            .zip(&fresh_plan.costed)
+            .all(|pair| match pair {
+                (Some(a), Some(b)) => near(*a, *b),
+                (a, b) => a == b,
+            });
+        assert!(
+            costed_alike,
+            "`{rule}` costed at {:?}, a fresh engine at {:?}",
+            plan.costed, fresh_plan.costed
+        );
+    }
+}
+
+#[test]
+fn plans_loaded_through_the_view_replan_then_match_a_fresh_engine() {
+    // Registered over empty tables, then loaded through the view: the
+    // plans were costed at size 0. Nothing tells the engine; the drift
+    // check re-plans them, after which they stay put and equal the
+    // plans of an engine registered over the loaded data.
+    for view in [
+        Figure6View::Luxuryitems,
+        Figure6View::Officeinfo,
+        Figure6View::VwBrands,
+    ] {
+        let name = view.name();
+        let mut load = Delta::new();
+        for t in view
+            .engine(50_000, StrategyMode::Incremental)
+            .relation(name)
+            .unwrap()
+            .iter()
+        {
+            load.push_insert(t.clone());
+        }
+        let mut engine = view.engine(0, StrategyMode::Incremental);
+        let planned = engine.plan_cache();
+        engine.apply_delta(name, load).unwrap();
+        engine.execute(&view.update_script(50_000, 0)).unwrap();
+        let settled = engine.plan_cache().misses();
+        assert!(
+            settled > planned.misses(),
+            "{name}: loading 50k rows re-plans"
+        );
+        assert!(
+            settled - planned.misses() <= 2 * planned.len() as u64,
+            "{name}: {settled} misses after load, {planned:?} at registration"
+        );
+        for rep in 1..4 {
+            engine.execute(&view.update_script(50_000, rep)).unwrap();
+        }
+        assert_eq!(
+            engine.plan_cache().misses(),
+            settled,
+            "{name}: plans steady"
+        );
+        assert_plans_match_a_fresh_engine(&mut engine, view);
+    }
+}
+
+#[test]
+fn recovered_plans_match_a_fresh_engine_without_a_clear_call() {
+    // Checkpoint a 50k-row service, commit past the checkpoint, then
+    // recover into the same construction code over empty tables:
+    // restore and WAL replay grow every relation far past the sizes
+    // the registration planned against.
+    let view = Figure6View::OutstandingTask;
+    let dir = std::env::temp_dir().join(format!("birds-replan-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = |engine: Engine| {
+        Service::open(
+            engine,
+            ServiceConfig::default(),
+            DurabilityConfig::new(&dir),
+        )
+        .unwrap()
+    };
+    {
+        let service = open(view.engine(50_000, StrategyMode::Incremental));
+        let mut session = service.session();
+        session.execute(&view.update_script(50_000, 0)).unwrap();
+        service.checkpoint().unwrap();
+        for rep in 1..4 {
+            session.execute(&view.update_script(50_000, rep)).unwrap();
+        }
+    }
+    let recovered = open(view.engine(0, StrategyMode::Incremental));
+    let Ok(mut engine) = recovered.into_engine() else {
+        panic!("recovered service still shared");
+    };
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(engine.relation("tasks").unwrap().len() >= 50_000);
+    assert_plans_match_a_fresh_engine(&mut engine, view);
 }

@@ -310,14 +310,8 @@ fn random_relation(schema: &Schema, n: usize, rng: &mut StdRng) -> Relation {
 // The equivalence harness.
 // ---------------------------------------------------------------------
 
-fn slot_eval(
-    program: &Program,
-    db: &mut Database,
-    range_pushdown: bool,
-) -> BTreeMap<String, BTreeSet<Tuple>> {
-    let mut cache = PlanCache::new();
-    cache.set_range_pushdown(range_pushdown);
-    let mut ctx = EvalContext::with_plan_cache(db, &mut cache);
+fn slot_eval(program: &Program, db: &mut Database) -> BTreeMap<String, BTreeSet<Tuple>> {
+    let mut ctx = EvalContext::new(db);
     let out = evaluate_program(program, &mut ctx).expect("slot evaluation succeeds");
     out.relations
         .into_iter()
@@ -325,22 +319,15 @@ fn slot_eval(
         .collect()
 }
 
-/// Three-way differential: the reference interpreter, the slot
-/// evaluator with range pushdown (the default), and the slot evaluator
-/// forced onto the hash-only scan+filter plans must all agree
-/// bit-identically — so every `RangeScan` plan is checked against both
-/// independent scan+filter implementations.
+/// Differential: the reference interpreter and the slot evaluator must
+/// agree bit-identically — so every `RangeScan` plan is checked against
+/// an independent scan+filter implementation.
 fn assert_equivalent(label: &str, program: &Program, db: &mut Database) {
     let expected = ref_eval_program(program, db);
-    let pushed = slot_eval(program, db, true);
+    let pushed = slot_eval(program, db);
     assert_eq!(
         pushed, expected,
         "{label}: range-pushdown evaluation diverges from reference semantics"
-    );
-    let filtered = slot_eval(program, db, false);
-    assert_eq!(
-        filtered, expected,
-        "{label}: scan+filter evaluation diverges from reference semantics"
     );
 }
 
