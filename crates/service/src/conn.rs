@@ -160,7 +160,7 @@ pub(crate) struct Conn {
     /// Bytes queued for the peer, flushed on write readiness.
     pub outbox: VecDeque<u8>,
     /// The connection's session, shared with worker threads. Only the
-    /// session lane locks it, and only one session-lane job per
+    /// session lane locks it, and only one session-lane run per
     /// connection is ever in flight, so workers never contend on it.
     pub session: Arc<Mutex<Session>>,
     /// Mirror of `session.pending()` maintained by session-lane workers,
@@ -173,9 +173,14 @@ pub(crate) struct Conn {
     /// autocommit `execute`s can be classified onto the stateless lane
     /// without consulting the session.
     pub in_batch_parsed: bool,
-    /// Session-lane requests not yet submitted (FIFO, one in flight).
+    /// Session-lane requests not yet handed to a worker, in arrival
+    /// order. The reactor drains them as runs of at most
+    /// `MAX_INFLIGHT_PER_CONN`, one run in flight at a time.
     pub session_queue: VecDeque<(Request, Option<Json>)>,
-    pub session_in_flight: bool,
+    /// Length of the session-lane run on a worker (0 when the lane is
+    /// idle): every request of the run is unanswered until the run's
+    /// completion arrives.
+    pub session_in_flight: usize,
     /// Stateless-lane jobs currently on the worker pool.
     pub stateless_in_flight: usize,
     pub phase: ConnPhase,
@@ -193,7 +198,7 @@ impl Conn {
             pending_hint: Arc::new(AtomicUsize::new(0)),
             in_batch_parsed: false,
             session_queue: VecDeque::new(),
-            session_in_flight: false,
+            session_in_flight: 0,
             stateless_in_flight: 0,
             phase: ConnPhase::Open,
             interest: 0,
@@ -202,13 +207,22 @@ impl Conn {
 
     /// Requests accepted but not yet answered (queued or on a worker).
     pub fn load(&self) -> usize {
-        self.session_queue.len() + usize::from(self.session_in_flight) + self.stateless_in_flight
+        self.session_queue.len() + self.session_in_flight + self.stateless_in_flight
+    }
+
+    /// Append one response line to the outbox (flushed by the caller).
+    pub fn push_response(&mut self, response: &Json) {
+        self.outbox.extend(response.to_compact().as_bytes());
+        self.outbox.push_back(b'\n');
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{salvage_id, Envelope};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Drive a framer over `input` split into `chunk`-byte pieces,
     /// returning all frames including the EOF tail.
@@ -300,5 +314,65 @@ mod tests {
         framer.feed(b"\n", &mut out);
         assert_eq!(out.len(), 1);
         assert!(matches!(&out[0], Frame::TooLong { prefix } if prefix.len() == 17));
+    }
+
+    /// One random input line for the framing fuzz: a valid request, a
+    /// truncated one, raw bytes (invalid UTF-8 included) or a long run,
+    /// ended by a random mix of CR and LF.
+    fn fuzz_line(rng: &mut StdRng, out: &mut Vec<u8>) {
+        const VALID: [&str; 4] = [
+            r#"{"op":"ping","id":7}"#,
+            r#"{"op":"execute","sql":"INSERT INTO v VALUES (1);","id":"x"}"#,
+            r#"{"id":[1,{"a":null}],"op":"query","relation":"v"}"#,
+            r#"{"op":"begin","id":"\u00e9\n"}"#,
+        ];
+        match rng.gen_range(0..4) {
+            0 => out.extend_from_slice(VALID[rng.gen_range(0..VALID.len())].as_bytes()),
+            1 => {
+                let line = VALID[rng.gen_range(0..VALID.len())].as_bytes();
+                out.extend_from_slice(&line[..rng.gen_range(0..line.len())]);
+            }
+            2 => out.extend((0..rng.gen_range(0..40)).map(|_| rng.gen_range(0..=255u8))),
+            _ => out.resize(out.len() + rng.gen_range(0..300usize), b'{'),
+        }
+        for _ in 0..rng.gen_range(0..3) {
+            out.push(if rng.gen_bool(0.5) { b'\r' } else { b'\n' });
+        }
+    }
+
+    #[test]
+    fn framing_never_panics_and_ignores_chunk_boundaries() {
+        let mut rng = StdRng::seed_from_u64(0xB1_2D5);
+        for _ in 0..1000 {
+            let cap = rng.gen_range(1..128);
+            let mut input = Vec::new();
+            for _ in 0..rng.gen_range(0..20) {
+                fuzz_line(&mut rng, &mut input);
+            }
+            let whole = frames(&input, cap, input.len());
+            for frame in &whole {
+                match frame {
+                    Frame::Line(line) => drop(Envelope::parse(line)),
+                    Frame::TooLong { prefix } => drop(salvage_id(prefix)),
+                }
+            }
+            for _ in 0..4 {
+                let mut framer = LineFramer::new(cap);
+                let mut chunked = Vec::new();
+                let mut rest = &input[..];
+                while !rest.is_empty() {
+                    let (piece, tail) = rest.split_at(rng.gen_range(1..=rest.len()));
+                    framer.feed(piece, &mut chunked);
+                    assert!(
+                        framer.line.len() <= cap + 1,
+                        "cap {cap}: holds {}",
+                        framer.line.len()
+                    );
+                    rest = tail;
+                }
+                chunked.extend(framer.finish());
+                assert_eq!(chunked, whole, "cap {cap}, input {input:?}");
+            }
+        }
     }
 }

@@ -56,9 +56,12 @@
 //! guaranteed to arrive in submission order; the contract is:
 //!
 //! * **Session-stateful requests stay FIFO.** `begin`, `commit`,
-//!   `rollback`, and `execute` inside an open batch run one at a time,
-//!   in submission order, against the connection's session (see
-//!   [`Request::is_session_op`]).
+//!   `rollback`, `register`, `unregister`, and `execute` inside an open
+//!   batch run one at a time, in submission order, against the
+//!   connection's session (see [`Request::is_session_op`]). Whatever
+//!   of them the server has already read is executed as one run by one
+//!   worker, so a pipelined batch answers without a thread hand-off per
+//!   line; the answers are the same, line for line, as lockstep ones.
 //! * **Independent requests may complete in any order.** `ping`,
 //!   `query`, `stats`, `checkpoint`, and autocommit `execute` (each its
 //!   own transaction) execute concurrently on a worker pool — a slow

@@ -8,9 +8,10 @@
 //!   in `epoll_wait` over the nonblocking listener, a wakeup eventfd,
 //!   and every live connection. It owns all connection state — sockets,
 //!   framers, outboxes, request lanes — so none of it needs locks.
-//! * **Worker pool**: `workers` threads popping decoded requests from a
+//! * **Worker pool**: `workers` threads popping jobs (one stateless
+//!   request, or one connection's run of session-lane requests) from a
 //!   shared queue, dispatching them against the service, and pushing the
-//!   response back through a completion list + eventfd wakeup. Workers
+//!   responses back through a completion list + eventfd wakeup. Workers
 //!   never touch sockets.
 //!
 //! ## Two-lane scheduling (the ordering contract)
@@ -20,14 +21,21 @@
 //! * **Session lane** — stateful ops (`begin`/`commit`/`rollback`
 //!   always; `execute` while a batch is open, tracked exactly at parse
 //!   time since `begin` opens and `commit`/`rollback` always close,
-//!   even on error). These stay FIFO: queued per connection, at most
-//!   one in flight, each run against the connection's own session.
+//!   even on error; `register`/`unregister`). These stay FIFO: queued
+//!   per connection and handed to a worker as a **run** — everything
+//!   queued when the lane is idle after a read or a completion, up to
+//!   [`MAX_INFLIGHT_PER_CONN`] requests. At most one run per
+//!   connection is in flight; its worker locks the session once and
+//!   dispatches the run in order, and the reactor appends the run's
+//!   responses to the outbox and flushes once. A 1 000-statement batch
+//!   pipelined in one write is thereby a handful of worker hand-offs,
+//!   not one round trip per line.
 //! * **Stateless lane** — `ping`/`query`/`stats`/`checkpoint` and
 //!   autocommit `execute` (each its own transaction through the group
 //!   committer, via a scratch session). These fan out to the worker
 //!   pool immediately and may complete **in any order**, across shards
-//!   and across each other — the out-of-order pipelining this PR is
-//!   about. Responses echo the request `id`, so clients correlate.
+//!   and across each other. Responses echo the request `id`, so
+//!   clients correlate.
 //!
 //! `quit` (and EOF) is a barrier: no further reads, every accepted
 //! request answers first, then (for `quit`) the bye goes out last and
@@ -39,8 +47,20 @@
 //! [`OUTBOX_HIGH_WATER`] bytes or whose accepted-but-unanswered load
 //! reaches [`MAX_INFLIGHT_PER_CONN`] — level-triggered epoll re-arms
 //! reads once responses drain, and TCP flow control propagates the
-//! stall to the sender. Memory per connection is thereby bounded by
-//! the line cap + the high water + one response in flight per lane.
+//! stall to the sender.
+//!
+//! Both checks run *before* each read, not per line, so neither is a
+//! hard cap: one read (at most 64 KiB) may frame many lines past the
+//! limit, and all of them are accepted. Per connection, memory is
+//! therefore bounded by:
+//!
+//! * the framer's partial line: at most `max_line + 1` bytes;
+//! * unanswered requests: fewer than [`MAX_INFLIGHT_PER_CONN`] plus the
+//!   lines of one read (thousands of short lines, or one long one);
+//! * the outbox: [`OUTBOX_HIGH_WATER`] plus the responses owed to those
+//!   unanswered requests and the error lines for one read's malformed
+//!   lines. A response's size depends on its request (a `query`
+//!   answers with the whole relation).
 //!
 //! ## Shutdown
 //!
@@ -65,6 +85,7 @@ use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -87,24 +108,30 @@ enum Lane {
     Stateless,
 }
 
-/// One decoded request handed to the worker pool.
+/// Decoded requests handed to the worker pool as one unit: a single
+/// request on the stateless lane, a run of queued requests on the
+/// session lane.
 struct Job {
     conn: usize,
     generation: u32,
     lane: Lane,
-    request: Request,
-    id: Option<Json>,
+    requests: Vec<(Request, Option<Json>)>,
     session: Arc<Mutex<Session>>,
     pending_hint: Arc<AtomicUsize>,
 }
 
-/// A finished job's response, routed back to the reactor.
+/// A finished job's responses, one per request and in request order,
+/// routed back to the reactor.
 struct Completion {
     conn: usize,
     generation: u32,
     lane: Lane,
-    response: Json,
+    responses: Vec<Json>,
 }
+
+/// How a worker runs one session-lane request: [`dispatch`], except in
+/// tests that inject a panic.
+type Dispatch = fn(&mut Session, &Request) -> Json;
 
 struct JobQueue {
     queue: VecDeque<Job>,
@@ -122,6 +149,10 @@ pub(crate) struct Shared {
     /// Whether SIGTERM (via [`crate::sys::SIGTERM_FLAG`]) should shut
     /// this server down — set by [`crate::Server::enable_signal_shutdown`].
     signal_enabled: AtomicBool,
+    /// Session-lane jobs pushed so far: the worker hand-offs a batch
+    /// costs.
+    #[cfg(test)]
+    session_jobs: AtomicUsize,
 }
 
 fn relock<T>(result: Result<T, PoisonError<T>>) -> T {
@@ -142,6 +173,8 @@ impl Shared {
             wakeup: EventFd::new()?,
             shutdown: AtomicBool::new(false),
             signal_enabled: AtomicBool::new(false),
+            #[cfg(test)]
+            session_jobs: AtomicUsize::new(0),
         })
     }
 
@@ -166,6 +199,10 @@ impl Shared {
     }
 
     fn push_job(&self, job: Job) {
+        #[cfg(test)]
+        if matches!(job.lane, Lane::Session) {
+            self.session_jobs.fetch_add(1, Ordering::Relaxed);
+        }
         relock(self.jobs.lock()).queue.push_back(job);
         self.available.notify_one();
     }
@@ -199,35 +236,66 @@ impl Shared {
 }
 
 /// Worker thread body: pop, dispatch, complete, until the queue closes.
-fn worker_loop(service: Service, shared: Arc<Shared>) {
+fn worker_loop(service: Service, shared: Arc<Shared>, dispatch: Dispatch) {
     while let Some(job) = shared.pop_job() {
-        let response = execute_job(&service, &job);
+        let responses = execute_job(&service, &job, dispatch);
         shared.complete(Completion {
             conn: job.conn,
             generation: job.generation,
             lane: job.lane,
-            response,
+            responses,
         });
     }
 }
 
-fn execute_job(service: &Service, job: &Job) -> Json {
-    let body = match job.lane {
-        Lane::Session => match job.session.lock() {
-            Ok(mut session) => {
-                let response = dispatch(&mut session, &job.request);
+/// Answer every request of `job`, in order. A panic does not take the
+/// worker down: the requests that ran keep their responses, and the one
+/// that panicked and all after it answer `Poisoned`. A session-lane
+/// panic poisons the session mutex, so the connection's later
+/// session-lane requests answer `Poisoned` as well.
+fn execute_job(service: &Service, job: &Job, dispatch: Dispatch) -> Vec<Json> {
+    let mut responses = Vec::with_capacity(job.requests.len());
+    let _ = panic::catch_unwind(AssertUnwindSafe(|| {
+        run_job(service, job, dispatch, &mut responses)
+    }));
+    if responses.len() < job.requests.len() {
+        let what = match job.lane {
+            Lane::Session => "session",
+            Lane::Stateless => "request",
+        };
+        let error = error_response(&ServiceError::Poisoned(what.into()));
+        let unanswered = &job.requests[responses.len()..];
+        responses.extend(
+            unanswered
+                .iter()
+                .map(|(_, id)| with_id(error.clone(), id.clone())),
+        );
+    }
+    responses
+}
+
+/// Push one response per request of `job` until done, a panic, or (on
+/// the session lane) a poisoned session lock.
+fn run_job(service: &Service, job: &Job, dispatch: Dispatch, responses: &mut Vec<Json>) {
+    match job.lane {
+        Lane::Session => {
+            let Ok(mut session) = job.session.lock() else {
+                return;
+            };
+            for (request, id) in &job.requests {
+                let response = dispatch(&mut session, request);
                 job.pending_hint.store(session.pending(), Ordering::Relaxed);
-                response
+                responses.push(with_id(response, id.clone()));
             }
-            Err(_) => error_response(&ServiceError::Poisoned("session".into())),
-        },
-        Lane::Stateless => stateless_response(
-            service,
-            &job.request,
-            job.pending_hint.load(Ordering::Relaxed),
-        ),
-    };
-    with_id(body, job.id.clone())
+        }
+        Lane::Stateless => {
+            for (request, id) in &job.requests {
+                let pending = job.pending_hint.load(Ordering::Relaxed);
+                let response = stateless_response(service, request, pending);
+                responses.push(with_id(response, id.clone()));
+            }
+        }
+    }
 }
 
 /// What one nonblocking read attempt yielded.
@@ -277,7 +345,7 @@ pub(crate) fn serve(
         pool.push(
             std::thread::Builder::new()
                 .name(format!("birds-worker-{i}"))
-                .spawn(move || worker_loop(service, shared))?,
+                .spawn(move || worker_loop(service, shared, dispatch))?,
         );
     }
     let epoll = Epoll::new()?;
@@ -488,6 +556,9 @@ impl Reactor {
         }
     }
 
+    /// Route every frame of one read, then hand the session lane its
+    /// run: pumping once per read, not per line, is what lets a
+    /// pipelined batch travel to a worker as one job.
     fn process_frames(&mut self, idx: usize, frames: Vec<Frame>) {
         for frame in frames {
             let Some(conn) = self.conns[idx].as_ref() else {
@@ -497,7 +568,7 @@ impl Reactor {
                 // `quit` is a barrier: anything pipelined after it on
                 // this connection is dropped, like the blocking server
                 // closing mid-stream.
-                return;
+                break;
             }
             match frame {
                 Frame::TooLong { prefix } => {
@@ -527,9 +598,12 @@ impl Reactor {
                 }
             }
         }
+        self.pump_session(idx);
     }
 
-    /// Route one decoded request onto its lane.
+    /// Route one decoded request onto its lane: stateless requests go
+    /// to the pool at once, session-lane requests wait in the queue for
+    /// [`Reactor::pump_session`].
     fn submit(&mut self, idx: usize, request: Request, id: Option<Json>) {
         let generation = self.generations[idx];
         let Some(conn) = self.conns[idx].as_mut() else {
@@ -549,15 +623,13 @@ impl Reactor {
                 _ => {}
             }
             conn.session_queue.push_back((request, id));
-            self.pump_session(idx);
         } else {
             conn.stateless_in_flight += 1;
             let job = Job {
                 conn: idx,
                 generation,
                 lane: Lane::Stateless,
-                request,
-                id,
+                requests: vec![(request, id)],
                 session: Arc::clone(&conn.session),
                 pending_hint: Arc::clone(&conn.pending_hint),
             };
@@ -565,26 +637,25 @@ impl Reactor {
         }
     }
 
-    /// Submit the next session-lane request if none is in flight —
-    /// same-session FIFO, one at a time.
+    /// If the session lane is idle, hand one worker the run of queued
+    /// requests (at most [`MAX_INFLIGHT_PER_CONN`]) — same-session FIFO,
+    /// one run at a time.
     fn pump_session(&mut self, idx: usize) {
         let generation = self.generations[idx];
         let Some(conn) = self.conns[idx].as_mut() else {
             return;
         };
-        if conn.session_in_flight {
+        if conn.session_in_flight > 0 || conn.session_queue.is_empty() {
             return;
         }
-        let Some((request, id)) = conn.session_queue.pop_front() else {
-            return;
-        };
-        conn.session_in_flight = true;
+        let run = conn.session_queue.len().min(MAX_INFLIGHT_PER_CONN);
+        let requests: Vec<_> = conn.session_queue.drain(..run).collect();
+        conn.session_in_flight = requests.len();
         let job = Job {
             conn: idx,
             generation,
             lane: Lane::Session,
-            request,
-            id,
+            requests,
             session: Arc::clone(&conn.session),
             pending_hint: Arc::clone(&conn.pending_hint),
         };
@@ -595,13 +666,8 @@ impl Reactor {
 
     /// Queue one response line and flush what the socket accepts.
     fn send(&mut self, idx: usize, response: &Json) {
-        {
-            let Some(conn) = self.conns[idx].as_mut() else {
-                return;
-            };
-            let line = response.to_compact();
-            conn.outbox.extend(line.as_bytes().iter().copied());
-            conn.outbox.push_back(b'\n');
+        if let Some(conn) = self.conns[idx].as_mut() {
+            conn.push_response(response);
         }
         self.flush(idx);
     }
@@ -648,11 +714,14 @@ impl Reactor {
                     continue;
                 };
                 match completion.lane {
-                    Lane::Session => conn.session_in_flight = false,
-                    Lane::Stateless => conn.stateless_in_flight -= 1,
+                    Lane::Session => conn.session_in_flight = 0,
+                    Lane::Stateless => conn.stateless_in_flight -= completion.responses.len(),
+                }
+                for response in &completion.responses {
+                    conn.push_response(response);
                 }
             }
-            self.send(idx, &completion.response);
+            self.flush(idx);
             if self.conns[idx].is_none() {
                 continue;
             }
@@ -792,6 +861,8 @@ fn reject(mut stream: TcpStream, limit: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::tests::union_service;
+    use std::io::{BufRead, BufReader};
 
     #[test]
     fn configure_stream_sets_nodelay_and_nonblocking() {
@@ -808,5 +879,146 @@ mod tests {
         let mut buf = [0u8; 8];
         let err = (&accepted).read(&mut buf).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::WouldBlock);
+    }
+
+    #[test]
+    fn a_pipelined_batch_is_handed_to_workers_in_runs() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shared = Arc::new(Shared::new().unwrap());
+        let reactor = {
+            let shared = Arc::clone(&shared);
+            let config = ServerConfig::default();
+            std::thread::spawn(move || serve(listener, union_service(), config, 2, shared))
+        };
+
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        let mut script = String::from("{\"op\":\"begin\"}\n");
+        for i in 0..1000 {
+            script.push_str(&format!(
+                "{{\"op\":\"execute\",\"sql\":\"INSERT INTO v VALUES ({});\"}}\n",
+                10 + i
+            ));
+        }
+        script.push_str("{\"op\":\"commit\"}\n");
+        (&stream).write_all(script.as_bytes()).unwrap();
+        let mut reader = BufReader::new(&stream);
+        let mut lines = Vec::new();
+        for _ in 0..1002 {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            lines.push(line);
+        }
+        assert!(lines[0].contains("\"batch\": true"), "{}", lines[0]);
+        for (n, line) in lines[1..1001].iter().enumerate() {
+            assert!(line.contains(&format!("\"buffered\": {}", n + 1)), "{line}");
+        }
+        assert!(
+            lines[1001].contains("\"statements\": 1000"),
+            "{}",
+            lines[1001]
+        );
+
+        let jobs = shared.session_jobs.load(Ordering::Relaxed);
+        let bound = 1002usize.div_ceil(MAX_INFLIGHT_PER_CONN) + 2;
+        assert!(
+            jobs <= bound,
+            "{jobs} session jobs for 1002 lines (bound {bound})"
+        );
+        shared.request_shutdown();
+        reactor.join().unwrap().unwrap();
+    }
+
+    fn panics_on_boom(session: &mut Session, request: &Request) -> Json {
+        if matches!(request, Request::Execute { sql } if sql == "boom") {
+            panic!("injected dispatch panic");
+        }
+        dispatch(session, request)
+    }
+
+    fn await_completion(shared: &Shared) -> Completion {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let mut done = Vec::new();
+        loop {
+            shared.take_completions(&mut done);
+            if let Some(completion) = done.pop() {
+                assert!(done.is_empty(), "one job in flight at a time");
+                return completion;
+            }
+            assert!(Instant::now() < deadline, "the worker never answered");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_panic_answers_every_id_of_its_run_and_keeps_the_worker() {
+        let service = union_service();
+        let shared = Arc::new(Shared::new().unwrap());
+        let worker = {
+            let (service, shared) = (service.clone(), Arc::clone(&shared));
+            std::thread::spawn(move || worker_loop(service, shared, panics_on_boom))
+        };
+        let session = Arc::new(Mutex::new(service.session()));
+        let pending_hint = Arc::new(AtomicUsize::new(0));
+        let job = |lane, requests: Vec<Request>| Job {
+            conn: 0,
+            generation: 0,
+            lane,
+            requests: (0..)
+                .zip(requests)
+                .map(|(i, request)| (request, Some(Json::Int(i))))
+                .collect(),
+            session: Arc::clone(&session),
+            pending_hint: Arc::clone(&pending_hint),
+        };
+        let execute = |sql: &str| Request::Execute { sql: sql.into() };
+        let poisoned = |what: &str, i| {
+            with_id(
+                error_response(&ServiceError::Poisoned(what.into())),
+                Some(Json::Int(i)),
+            )
+        };
+
+        // The panic is request k = 2 of a five-request run.
+        shared.push_job(job(
+            Lane::Session,
+            vec![
+                Request::Begin,
+                execute("INSERT INTO v VALUES (9);"),
+                execute("boom"),
+                execute("INSERT INTO v VALUES (10);"),
+                Request::Commit,
+            ],
+        ));
+        let run = await_completion(&shared).responses;
+        assert_eq!(run.len(), 5, "every id answered: {run:?}");
+        assert_eq!(run[0].get("batch"), Some(&Json::Bool(true)));
+        assert_eq!(run[1].get("buffered"), Some(&Json::Int(1)));
+        for (i, response) in (2..).zip(&run[2..]) {
+            assert_eq!(response, &poisoned("session", i));
+        }
+
+        // The same worker keeps serving: the poisoned session answers
+        // with the typed error, the service itself is untouched.
+        shared.push_job(job(Lane::Session, vec![Request::Rollback]));
+        assert_eq!(
+            await_completion(&shared).responses,
+            vec![poisoned("session", 0)]
+        );
+        shared.push_job(job(
+            Lane::Stateless,
+            vec![Request::Query {
+                relation: "v".into(),
+            }],
+        ));
+        let query = await_completion(&shared).responses;
+        assert_eq!(query[0].get("count"), Some(&Json::Int(3)), "{query:?}");
+
+        shared.close_jobs();
+        worker.join().expect("the worker outlived the panic");
     }
 }

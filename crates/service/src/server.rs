@@ -226,7 +226,7 @@ impl LocalClient {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::json::Json;
     use birds_core::UpdateStrategy;
@@ -235,7 +235,8 @@ mod tests {
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
 
-    fn union_service() -> Service {
+    /// `v = r1 ∪ r2` over `r1 = {1}`, `r2 = {2, 4}`, in memory.
+    pub(crate) fn union_service() -> Service {
         let mut db = Database::new();
         db.add_relation(Relation::with_tuples("r1", 1, vec![tuple![1]]).unwrap())
             .unwrap();

@@ -19,7 +19,7 @@
 
 use birds_core::UpdateStrategy;
 use birds_engine::{Engine, StrategyMode};
-use birds_service::{Json, Server, ServerConfig, Service};
+use birds_service::{Json, LocalClient, Server, ServerConfig, Service};
 use birds_store::{tuple, Database, DatabaseSchema, Relation, Schema, SortKind};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -398,5 +398,126 @@ fn rejected_connection_does_not_count_toward_exit_after() {
     let mut b = Client::connect(addr);
     assert!(b.send(r#"{"op":"ping"}"#).contains("pong"));
     assert!(b.send(r#"{"op":"quit"}"#).contains("bye"));
+    server.join().unwrap();
+}
+
+#[test]
+fn a_pipelined_script_answers_like_a_local_session_byte_for_byte() {
+    // The session lane hands a worker whole runs of queued lines. Fired
+    // down one connection in a single write, a script's session-lane
+    // answers must be exactly — bytes and order — what one in-process
+    // session answers line by line on an identical service.
+    let spec = concat!(
+        r#""view":{"name":"w","columns":[["a","int"]]},"#,
+        r#""sources":[{"name":"p","columns":[["a","int"]]},{"name":"q","columns":[["a","int"]]}],"#,
+        r#""putdelta":"-p(X) :- p(X), not w(X). -q(X) :- q(X), not w(X). +p(X) :- w(X), not p(X), not q(X).""#,
+    );
+    let mut session_lines = vec![r#"{"op":"begin","id":"s"}"#.to_owned()];
+    let mut stateless_ids = Vec::new();
+    let mut script = session_lines.clone();
+    for i in 0..1000 {
+        let line = format!(
+            r#"{{"op":"execute","sql":"INSERT INTO v0 VALUES ({});","id":{i}}}"#,
+            100 + i
+        );
+        script.push(line.clone());
+        session_lines.push(line);
+        if i % 100 == 50 {
+            script.push(format!(r#"{{"op":"ping","id":"ping{i}"}}"#));
+            script.push(format!(
+                r#"{{"op":"query","relation":"v0","id":"query{i}"}}"#
+            ));
+            stateless_ids.extend([format!("ping{i}"), format!("query{i}")]);
+        }
+    }
+    for line in [
+        r#"{"op":"commit","id":"c1"}"#.to_owned(),
+        r#"{"op":"begin","id":"b2"}"#.to_owned(),
+        r#"{"op":"execute","sql":"INSERT INTO v0 VALUES (;","id":"bad-sql"}"#.to_owned(),
+        r#"{"op":"begin","id":"b3"}"#.to_owned(),
+        r#"{"op":"rollback","id":"r"}"#.to_owned(),
+        r#"{"op":"commit","id":"c2"}"#.to_owned(),
+        format!(r#"{{"op":"register",{spec},"mode":"incremental","id":"reg"}}"#),
+        r#"{"op":"unregister","view":"w","id":"unreg"}"#.to_owned(),
+    ] {
+        script.push(line.clone());
+        session_lines.push(line);
+    }
+    script.push(r#"{"op":"quit","id":"bye"}"#.to_owned());
+
+    let engine = || {
+        let mut db = Database::new();
+        for (name, value) in [("a0", 1), ("b0", 2), ("p", 10), ("q", 20)] {
+            db.add_relation(Relation::with_tuples(name, 1, vec![tuple![value]]).unwrap())
+                .unwrap();
+        }
+        let mut engine = Engine::new(db);
+        engine
+            .register_view(union_strategy("v0", "a0", "b0"), StrategyMode::Incremental)
+            .unwrap();
+        engine
+    };
+    let mut local = LocalClient::connect(&Service::new(engine()));
+    let want: Vec<String> = session_lines
+        .iter()
+        .map(|line| local.request_line(line))
+        .collect();
+
+    let server = Server::spawn("127.0.0.1:0", Service::new(engine()), None).unwrap();
+    let mut client = Client::connect(server.addr());
+    let lines: Vec<&str> = script.iter().map(String::as_str).collect();
+    client.pipeline(&lines);
+    let mut got = Vec::new();
+    let mut stateless = Vec::new();
+    for _ in 0..script.len() {
+        let line = client.read_line();
+        assert!(
+            !line.is_empty(),
+            "connection closed after {} lines",
+            got.len()
+        );
+        let line = line.trim_end_matches('\n').to_owned();
+        match response_id(&line).and_then(|id| id.as_str().map(str::to_owned)) {
+            Some(id) if stateless_ids.contains(&id) => {
+                assert!(line.contains("\"ok\": true"), "{line}");
+                stateless.push(id);
+            }
+            _ => got.push(line),
+        }
+    }
+    let bye = got.pop().expect("a bye");
+    assert_eq!(
+        bye, r#"{"ok": true, "bye": true, "id": "bye"}"#,
+        "bye comes last"
+    );
+    assert_eq!(got.len(), want.len());
+    for (n, (got, want)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(got, want, "session-lane response {n}");
+    }
+    stateless.sort();
+    stateless_ids.sort();
+    assert_eq!(stateless, stateless_ids, "every stateless id answered once");
+    assert!(want[1000].contains("\"buffered\": 1000"), "{}", want[1000]);
+    assert!(
+        want[1001].contains("\"statements\": 1000"),
+        "{}",
+        want[1001]
+    );
+    assert!(
+        want[1003].contains("\"ok\": false"),
+        "bad SQL: {}",
+        want[1003]
+    );
+    assert!(
+        want[1007].contains("\"registered\": \"w\""),
+        "{}",
+        want[1007]
+    );
+    assert!(
+        want[1008].contains("\"unregistered\": \"w\""),
+        "{}",
+        want[1008]
+    );
+    server.shutdown();
     server.join().unwrap();
 }
