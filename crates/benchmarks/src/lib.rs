@@ -12,34 +12,25 @@
 //! * [`figure6`] — the Figure 6 experiment: view-update latency versus
 //!   base-table size, original strategy versus incrementalized strategy,
 //!   for the four selected views.
-//! * [`throughput`] — the service-layer experiment: batched versus
-//!   per-statement update application and concurrent-client scaling
-//!   (not in the paper; backs the `BENCH_throughput.json` trajectory).
-//! * [`connection`] — the connection-scaling experiment: serving
-//!   latency, thread count and RSS of a `birds-serve` child process as
-//!   mostly-idle connections accumulate (the epoll reactor's
-//!   connections-are-not-threads claim, measured from outside via
-//!   `/proc/<pid>/status`).
+//! * [`range_guard`] — the putback latency of a comparison guard planned
+//!   as an ordered-index range scan, as a function of its selectivity.
 //! * [`emit`] — atomic JSON-file emission shared by the binaries.
 //!
-//! Binaries `table1`, `figure6`, `throughput` print the regenerated
-//! table/figures; `bench_gate` is the CI perf-regression gate:
+//! Binaries `table1` and `figure6` print the regenerated table and
+//! figure; `bench_gate` is the CI perf-regression gate over Figure 6:
 //!
 //! ```text
 //! cargo run --release -p birds-benchmarks --bin table1
 //! cargo run --release -p birds-benchmarks --bin figure6 -- luxuryitems
-//! cargo run --release -p birds-benchmarks --bin throughput
 //! cargo run --release -p birds-benchmarks --bin bench_gate -- --baseline BENCH_figure6.json
 //! ```
 
-pub mod connection;
 pub mod corpus;
 pub mod datagen;
 pub mod emit;
 pub mod figure6;
 pub mod range_guard;
 pub mod table1;
-pub mod throughput;
 
 pub use corpus::{entries, entry, CorpusEntry, RelSpec, SourceKind};
 pub use figure6::{Figure6Point, Figure6View};

@@ -16,9 +16,9 @@
 //! `BENCH_figure6.json` (the section survives `figure6` run upserts,
 //! which preserve foreign top-level fields). Its committed 1M-row run
 //! also holds the hash-only (scan + filter) latencies measured when the
-//! planner could still be told not to push guards down; `bench_gate
-//! --range-gate` keeps that speedup on the record and checks the plan
-//! shape of a fresh engine.
+//! planner could still be told not to push guards down; `bench_gate`
+//! keeps that speedup on the record and checks the plan shape of a
+//! fresh engine.
 
 use birds_core::UpdateStrategy;
 use birds_datalog::{parse_program, Program};

@@ -92,9 +92,6 @@ fn main() {
                 config.exit_after = Some(parse_flag(args.next(), "--exit-after", "an integer"))
             }
             "--workers" => config.workers = parse_flag(args.next(), "--workers", "a thread count"),
-            "--backlog" => {
-                config.backlog = Some(parse_flag(args.next(), "--backlog", "an integer"))
-            }
             "--max-line" => config.max_line = parse_flag(args.next(), "--max-line", "a byte count"),
             "--data-dir" => data_dir = Some(require_value(args.next(), "--data-dir")),
             "--fsync" => {
@@ -111,7 +108,7 @@ fn main() {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: birds-serve [--listen ADDR] [--workers N] [--max-conns N]\n\
-                     \x20                 [--exit-after N] [--backlog N] [--max-line BYTES]\n\
+                     \x20                 [--exit-after N] [--max-line BYTES]\n\
                      \x20                 [--data-dir DIR] [--fsync always|epoch|off]\n\
                      \x20                 [--checkpoint-every N] [--strategy FILE]\n\
                      \x20      birds-serve --connect ADDR   (client mode, script on stdin)"

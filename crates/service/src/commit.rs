@@ -253,3 +253,143 @@ impl Service {
         self.settle(logged.map(|()| seqs_assigned));
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::error::ServiceError;
+    use crate::group_commit::TxResult;
+    use crate::service::{DurabilityConfig, Service, ServiceConfig};
+    use birds_core::UpdateStrategy;
+    use birds_engine::{Engine, StrategyMode};
+    use birds_store::{tuple, Database, DatabaseSchema, Relation, Schema, SortKind};
+    use birds_wal::WalRecord;
+    use std::time::{Duration, Instant};
+
+    /// Members per coalesced epoch.
+    const N: usize = 4;
+
+    /// A selection view `w` over `s` whose constraint rejects
+    /// non-positive values, so one member of an epoch can violate it.
+    fn constrained_engine() -> Engine {
+        let mut db = Database::new();
+        db.add_relation(Relation::with_tuples("s", 1, vec![tuple![3]]).unwrap())
+            .unwrap();
+        let strategy = UpdateStrategy::parse(
+            DatabaseSchema::new().with(Schema::new("s", vec![("x", SortKind::Int)])),
+            Schema::new("w", vec![("x", SortKind::Int)]),
+            "
+            false :- w(X), not X > 0.
+            +s(X) :- w(X), not s(X).
+            sp(X) :- s(X), X > 0.
+            -s(X) :- sp(X), not w(X).
+            ",
+            None,
+        )
+        .unwrap();
+        let mut engine = Engine::new(db);
+        engine
+            .register_view(strategy, StrategyMode::Incremental)
+            .unwrap();
+        engine
+    }
+
+    /// Autocommit one insert into `w` per value, concurrently, so that
+    /// all of them are one epoch: the shard's write lock is held until
+    /// every submitter has queued, and the first to get the lock then
+    /// drains the whole queue. Results come back in `values` order.
+    fn one_epoch(service: &Service, values: &[i64]) -> Vec<TxResult> {
+        let held = service.debug_write_lock_shard("w").expect("w has a shard");
+        let members: Vec<_> = values
+            .iter()
+            .map(|value| {
+                let service = service.clone();
+                let statements =
+                    birds_sql::parse_script(&format!("INSERT INTO w VALUES ({value});")).unwrap();
+                std::thread::spawn(move || service.submit_autocommit("w".into(), statements))
+            })
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while service.topology().committer("w").len() < values.len() {
+            assert!(Instant::now() < deadline, "the members never all queued");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(held);
+        members.into_iter().map(|m| m.join().unwrap()).collect()
+    }
+
+    /// The seqs of the `Ok` results, sorted.
+    fn seqs(results: &[TxResult]) -> Vec<u64> {
+        let mut seqs: Vec<u64> = results.iter().flatten().map(|(seq, _)| *seq).collect();
+        seqs.sort_unstable();
+        seqs
+    }
+
+    #[test]
+    fn queued_members_share_one_epoch_and_each_gets_its_own_seq() {
+        let service = Service::new(constrained_engine());
+        let results = one_epoch(&service, &[11, 12, 13, 14]);
+        for result in &results {
+            let (_, stats) = result.as_ref().expect("every member commits");
+            // One pass applied all N inserts: each member reports it.
+            assert_eq!(stats.view_delta_size, N, "{results:?}");
+        }
+        assert_eq!(seqs(&results), vec![1, 2, 3, 4]);
+        assert_eq!(service.commits(), N as u64);
+        let s = service.query("s").unwrap();
+        assert!((11..=14).all(|v| s.contains(&tuple![v])), "{s:?}");
+    }
+
+    #[test]
+    fn a_rejected_epoch_fails_only_its_violator() {
+        let service = Service::new(constrained_engine());
+        let results = one_epoch(&service, &[21, -5, 22, 23]);
+        assert!(
+            matches!(results[1], Err(ServiceError::Engine(_))),
+            "the violator fails: {results:?}"
+        );
+        for (i, result) in results.iter().enumerate().filter(|(i, _)| *i != 1) {
+            let (_, stats) = result
+                .as_ref()
+                .unwrap_or_else(|e| panic!("member {i}: {e}"));
+            // Replayed one by one after the net delta was rejected.
+            assert_eq!(stats.view_delta_size, 1);
+        }
+        assert_eq!(seqs(&results), vec![1, 2, 3]);
+        assert_eq!(service.commits(), 3);
+        let s = service.query("s").unwrap();
+        assert!([21, 22, 23].iter().all(|&v| s.contains(&tuple![v])));
+        assert!(!s.contains(&tuple![-5]));
+    }
+
+    #[test]
+    fn one_epoch_is_one_wal_record_with_every_members_seq() {
+        let dir =
+            std::env::temp_dir().join(format!("birds-service-epoch-record-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || {
+            Service::open(
+                constrained_engine(),
+                ServiceConfig::default(),
+                DurabilityConfig::new(&dir),
+            )
+            .unwrap()
+        };
+        let results = one_epoch(&open(), &[31, 32, 33, 34]);
+        assert_eq!(seqs(&results), vec![1, 2, 3, 4]);
+
+        let recovery = birds_wal::recover(&dir).unwrap();
+        match &recovery.records[..] {
+            [WalRecord::Commit { seqs, deltas }] => {
+                assert_eq!(seqs, &vec![1, 2, 3, 4]);
+                assert_eq!(deltas.len(), 1, "one net delta for the one view");
+            }
+            records => panic!("expected one commit record, got {records:?}"),
+        }
+        let recovered = open();
+        assert_eq!(recovered.commits(), N as u64);
+        let s = recovered.query("s").unwrap();
+        assert!((31..=34).all(|v| s.contains(&tuple![v])), "{s:?}");
+        drop(recovered);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}

@@ -317,8 +317,9 @@ mod tests {
     }
 
     /// One random input line for the framing fuzz: a valid request, a
-    /// truncated one, raw bytes (invalid UTF-8 included) or a long run,
-    /// ended by a random mix of CR and LF.
+    /// truncated one, raw bytes (invalid UTF-8 included), a long run or
+    /// arrays and objects nested up to 20 000 deep, ended by a random
+    /// mix of CR and LF.
     fn fuzz_line(rng: &mut StdRng, out: &mut Vec<u8>) {
         const VALID: [&str; 4] = [
             r#"{"op":"ping","id":7}"#,
@@ -326,14 +327,20 @@ mod tests {
             r#"{"id":[1,{"a":null}],"op":"query","relation":"v"}"#,
             r#"{"op":"begin","id":"\u00e9\n"}"#,
         ];
-        match rng.gen_range(0..4) {
+        match rng.gen_range(0..5) {
             0 => out.extend_from_slice(VALID[rng.gen_range(0..VALID.len())].as_bytes()),
             1 => {
                 let line = VALID[rng.gen_range(0..VALID.len())].as_bytes();
                 out.extend_from_slice(&line[..rng.gen_range(0..line.len())]);
             }
             2 => out.extend((0..rng.gen_range(0..40)).map(|_| rng.gen_range(0..=255u8))),
-            _ => out.resize(out.len() + rng.gen_range(0..300usize), b'{'),
+            3 => out.resize(out.len() + rng.gen_range(0..300usize), b'{'),
+            _ => {
+                for _ in 0..rng.gen_range(0..20_000) {
+                    let open: &[u8] = if rng.gen_bool(0.5) { b"[" } else { br#"{"a":"# };
+                    out.extend_from_slice(open);
+                }
+            }
         }
         for _ in 0..rng.gen_range(0..3) {
             out.push(if rng.gen_bool(0.5) { b'\r' } else { b'\n' });
@@ -344,7 +351,13 @@ mod tests {
     fn framing_never_panics_and_ignores_chunk_boundaries() {
         let mut rng = StdRng::seed_from_u64(0xB1_2D5);
         for _ in 0..1000 {
-            let cap = rng.gen_range(1..128);
+            // Half the caps let deeply nested lines through whole, to
+            // `Envelope::parse`.
+            let cap = if rng.gen_bool(0.5) {
+                rng.gen_range(1..128)
+            } else {
+                1 << 17
+            };
             let mut input = Vec::new();
             for _ in 0..rng.gen_range(0..20) {
                 fuzz_line(&mut rng, &mut input);

@@ -9,12 +9,11 @@
 //! members of one epoch, to the commit pipeline (`crate::commit`) —
 //! the same bracket a session batch and a registration go through.
 //! Followers find their result slot filled when the leader releases the
-//! lock. With the default zero epoch window the epoch is simply the
-//! leader's lock tenure: uncontended clients keep single-statement
-//! latency, contended shards batch automatically. A non-zero window
-//! additionally parks each submitter before its first leadership
-//! attempt, trading latency for deeper epochs (the fixed-epoch design of
-//! Obladi, arXiv:1809.10559).
+//! lock. The epoch is simply the leader's lock tenure: uncontended
+//! clients keep single-statement latency, and a contended shard batches
+//! whatever queued while the previous epoch held its lock. Obladi
+//! (arXiv:1809.10559) fixes its epochs' length in time instead; an
+//! epoch bounded by lock tenure has no window to tune.
 //!
 //! This module owns only the queue and the member type; what an epoch
 //! *means* (coalescing, seq assignment, WAL record granularity, the
@@ -138,6 +137,12 @@ impl GroupCommitter {
             .lock()
             .map_err(|_| ServiceError::Poisoned("group-commit queue".into()))?;
         Ok(queue.pending.drain(..).collect())
+    }
+
+    /// Transactions queued right now.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.queue.lock().map_or(0, |queue| queue.pending.len())
     }
 
     /// Close the committer and hand back whatever was queued — called

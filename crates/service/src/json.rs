@@ -50,12 +50,14 @@ impl std::error::Error for JsonError {}
 
 impl Json {
     /// Parse a complete JSON document (trailing whitespace allowed,
-    /// trailing garbage rejected).
+    /// trailing garbage rejected). Arrays and objects nested more than
+    /// 128 levels deep are an error.
     pub fn parse(src: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             src,
             bytes: src.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -238,10 +240,18 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level and runs on the server's reactor thread, so an unbounded depth
+/// lets one request line overflow that thread's stack. The deepest
+/// protocol request (`register`) nests about five levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -290,12 +300,27 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'{') => self.nested(Parser::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(self.err(format!("unexpected character '{}'", other as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object a level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Parser<'a>) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -566,6 +591,29 @@ mod tests {
         let large = fastest(&literal(1 << 14));
         let ratio = large.as_secs_f64() / small.as_secs_f64().max(1e-9);
         assert!(ratio < 64.0, "16x the content took {ratio:.0}x the time");
+    }
+
+    #[test]
+    fn nesting_past_the_depth_cap_is_an_error_not_a_stack_overflow() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| format!("{}1{}", r#"{"k":"#.repeat(depth), "}".repeat(depth));
+        assert!(Json::parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&objects(MAX_DEPTH)).is_ok());
+        for (doc, opened_at) in [
+            (arrays(MAX_DEPTH + 1), MAX_DEPTH),
+            (objects(MAX_DEPTH + 1), 5 * MAX_DEPTH),
+        ] {
+            let err = Json::parse(&doc).unwrap_err();
+            assert!(err.message.contains("nesting deeper"), "{err}");
+            assert_eq!(
+                err.offset, opened_at,
+                "the error points at the opening bracket"
+            );
+        }
+        // Unbounded recursion overflows a 2 MiB thread stack long before
+        // this depth; the closing brackets are never reached.
+        let err = Json::parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.message.contains("nesting deeper"), "{err}");
     }
 
     #[test]

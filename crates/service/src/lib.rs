@@ -25,8 +25,7 @@
 //!   first submitter to win the shard lock leads the whole queue through
 //!   the pipeline as one epoch (one *net* delta per view), giving
 //!   batch-level throughput to clients that never call `begin`/`commit`
-//!   (Obladi-style epochs; an optional window trades latency for epoch
-//!   depth).
+//!   (Obladi-style epochs, each as long as its leader's lock tenure).
 //! * [`snapshot`] — **MVCC snapshot reads**. Every commit publishes an
 //!   immutable, `Arc`-shared image of each shard it touched (copy-on-
 //!   write at the tuple-set level, so only touched relations are

@@ -22,7 +22,6 @@ use crate::protocol::{dispatch, error_response, with_id, Envelope, Request};
 use crate::reactor::{serve, Shared};
 use crate::service::{Service, Session};
 use std::net::TcpListener;
-use std::os::fd::AsRawFd;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -47,10 +46,6 @@ pub struct ServerConfig {
     /// Exit after this many connections have *closed* — the
     /// self-terminating mode CI smoke tests use (`--exit-after`).
     pub exit_after: Option<usize>,
-    /// Listen-backlog override (re-issues `listen(2)`; the kernel
-    /// clamps to `net.core.somaxconn`). `None` keeps std's default
-    /// (128), which connection storms can overflow.
-    pub backlog: Option<i32>,
 }
 
 impl Default for ServerConfig {
@@ -60,7 +55,6 @@ impl Default for ServerConfig {
             workers: 0,
             max_conns: None,
             exit_after: None,
-            backlog: None,
         }
     }
 }
@@ -130,9 +124,6 @@ impl Server {
         // The reactor owns the listener through epoll readiness — it
         // must never block in accept(2).
         listener.set_nonblocking(true)?;
-        if let Some(backlog) = config.backlog {
-            crate::sys::set_listen_backlog(listener.as_raw_fd(), backlog)?;
-        }
         let workers = config.resolved_workers();
         let shared = Arc::new(Shared::new()?);
         let reactor_shared = Arc::clone(&shared);

@@ -117,27 +117,14 @@ use birds_wal::{
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockWriteGuard};
-use std::time::Duration;
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, RwLock};
 
-/// Service tuning knobs.
-#[derive(Debug, Clone)]
-pub struct ServiceConfig {
-    /// Group-commit epoch window: how long an autocommit submitter parks
-    /// before its first leadership attempt, letting concurrent
-    /// transactions pile into the same epoch. `0` (the default) keeps
-    /// single-statement latency and still coalesces whatever queued
-    /// while the previous epoch held the shard lock.
-    pub epoch_window: Duration,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        ServiceConfig {
-            epoch_window: Duration::ZERO,
-        }
-    }
-}
+/// Service tuning knobs. It has none today: the group committer's
+/// epoch is the shard-lock tenure of whichever submitter leads it, so
+/// there is nothing to tune. The type stays so [`Service::open`] keeps
+/// its signature.
+#[derive(Debug, Clone, Default)]
+pub struct ServiceConfig {}
 
 /// Durability knobs for [`Service::open`]: where the data directory
 /// lives and how eagerly the WAL reaches stable storage.
@@ -246,6 +233,13 @@ impl Topology {
             .find_map(|(id, slot)| (Some(*id) == shard).then_some(&mut **slot))
             .expect("the held lock set covers the relation's shard")
     }
+
+    /// The group committer of the shard owning `relation`.
+    #[cfg(test)]
+    pub(crate) fn committer(&self, relation: &str) -> &GroupCommitter {
+        let shard = self.route.shard_of(relation).expect("a routed relation");
+        &self.committers[shard.index()]
+    }
 }
 
 struct ServiceInner {
@@ -272,7 +266,6 @@ struct ServiceInner {
     /// cut. Held only around the pointer swaps (no engine work), so
     /// the cost is negligible.
     publication_lock: Mutex<()>,
-    config: ServiceConfig,
     /// `Some` when the service is durable ([`Service::open`]).
     wal: Option<WalState>,
 }
@@ -430,14 +423,9 @@ pub struct Service {
 
 impl Service {
     /// Wrap an engine (typically with views already registered),
-    /// splitting it into footprint shards with the default config.
+    /// splitting it into footprint shards.
     pub fn new(engine: Engine) -> Self {
-        Service::with_config(engine, ServiceConfig::default())
-    }
-
-    /// Wrap an engine with explicit tuning knobs.
-    pub fn with_config(engine: Engine, config: ServiceConfig) -> Self {
-        Service::build(engine, config, None).expect("in-memory service construction cannot fail")
+        Service::build(engine, None).expect("in-memory service construction cannot fail")
     }
 
     /// Open a **durable** service: recover the data directory (latest
@@ -504,17 +492,13 @@ impl Service {
     /// ```
     pub fn open(
         engine: Engine,
-        config: ServiceConfig,
+        _config: ServiceConfig,
         durability: DurabilityConfig,
     ) -> ServiceResult<Service> {
-        Service::build(engine, config, Some(durability))
+        Service::build(engine, Some(durability))
     }
 
-    fn build(
-        mut engine: Engine,
-        config: ServiceConfig,
-        durability: Option<DurabilityConfig>,
-    ) -> ServiceResult<Service> {
+    fn build(mut engine: Engine, durability: Option<DurabilityConfig>) -> ServiceResult<Service> {
         let mut start_seq = 0u64;
         if let Some(d) = &durability {
             let recovery = birds_wal::recover(&d.data_dir)
@@ -584,7 +568,6 @@ impl Service {
                 commit_seq: AtomicU64::new(start_seq),
                 publication_seq: AtomicU64::new(0),
                 publication_lock: Mutex::new(()),
-                config,
                 wal,
             }),
         })
@@ -594,7 +577,7 @@ impl Service {
     /// pointer-only lock). Every request works against the generation
     /// it loaded; a re-shard mid-request is detected by the `None` slot
     /// of a retired shard, upon which the request reloads and retries.
-    fn topology(&self) -> Arc<Topology> {
+    pub(crate) fn topology(&self) -> Arc<Topology> {
         match self.inner.topology.read() {
             Ok(topology) => Arc::clone(&topology),
             Err(poisoned) => Arc::clone(&poisoned.into_inner()),
@@ -746,29 +729,31 @@ impl Service {
     /// while commits on *other* shards proceed.
     #[doc(hidden)]
     pub fn debug_write_lock_shard(&self, relation: &str) -> Option<impl Drop> {
-        /// Owns both the guard and the slot `Arc` it borrows from; the
-        /// declaration order makes the guard drop first.
-        struct ShardWriteGuard {
-            _guard: RwLockWriteGuard<'static, Option<Engine>>,
-            _slot: Arc<RwLock<Option<Engine>>>,
-        }
+        /// The lock is held by a helper thread, which owns both the slot
+        /// `Arc` and the guard borrowing it. Dropping this handle hangs
+        /// up on that thread, which then releases the lock; the drop
+        /// returns once it has.
+        struct ShardWriteGuard(Option<(mpsc::Sender<()>, std::thread::JoinHandle<()>)>);
         impl Drop for ShardWriteGuard {
-            fn drop(&mut self) {}
+            fn drop(&mut self) {
+                if let Some((hang_up, holder)) = self.0.take() {
+                    drop(hang_up);
+                    let _ = holder.join();
+                }
+            }
         }
         let topo = self.topology();
         let shard = topo.route.shard_of(relation)?;
         let slot = topo.shards.slot(shard);
-        let guard = slot.write().unwrap_or_else(|e| e.into_inner());
-        // SAFETY: the transmute erases the guard's borrow of the local
-        // `slot` binding so both can move into the struct together; the
-        // struct keeps the `Arc` alive for as long as the guard exists,
-        // and the field order drops the guard first.
-        let guard: RwLockWriteGuard<'static, Option<Engine>> =
-            unsafe { std::mem::transmute(guard) };
-        Some(ShardWriteGuard {
-            _guard: guard,
-            _slot: slot,
-        })
+        let (locked, is_locked) = mpsc::channel();
+        let (hang_up, hung_up) = mpsc::channel::<()>();
+        let holder = std::thread::spawn(move || {
+            let _guard = slot.write().unwrap_or_else(|e| e.into_inner());
+            let _ = locked.send(());
+            let _ = hung_up.recv();
+        });
+        is_locked.recv().ok()?;
+        Some(ShardWriteGuard(Some((hang_up, holder))))
     }
 
     /// Test hook: drain the engines' shared read-trace sink (enable it
@@ -879,9 +864,13 @@ impl Service {
     }
 
     /// Autocommit one transaction through the target shard's group
-    /// committer: enqueue, optionally park for the epoch window, then
-    /// contend for epoch leadership until the result slot fills.
-    fn submit_autocommit(&self, view: String, statements: Vec<DmlStatement>) -> TxResult {
+    /// committer: enqueue, then contend for epoch leadership until the
+    /// result slot fills.
+    pub(crate) fn submit_autocommit(
+        &self,
+        view: String,
+        statements: Vec<DmlStatement>,
+    ) -> TxResult {
         let tx = PendingTx::new(vec![(view, statements)]);
         loop {
             let topo = self.topology();
@@ -896,13 +885,6 @@ impl Service {
             // The committer was closed by a live re-shard that raced our
             // topology load; reload and enqueue in the successor.
             std::thread::yield_now();
-        }
-        let window = self.inner.config.epoch_window;
-        if !window.is_zero() {
-            // Epoch window: park so concurrent submitters can join this
-            // epoch; the sleeps of parked submitters overlap, so offered
-            // concurrency turns into epoch depth.
-            std::thread::sleep(window);
         }
         self.lead_epoch(&tx, true)
     }

@@ -2,7 +2,7 @@
 //! counterpart of the `libc` crate, in the same spirit as the vendored
 //! dependency stubs: the build environment has no crates.io access, so
 //! the handful of symbols the reactor needs (`epoll_*`, `eventfd`,
-//! `listen`, `signal`, `write`) are declared directly against the C
+//! `signal`, `write`) are declared directly against the C
 //! library std already links. Everything std *can* do (nonblocking
 //! mode, `TCP_NODELAY`, closing fds via `OwnedFd`/`File` drops) goes
 //! through std; this module only covers what std has no API for.
@@ -69,7 +69,6 @@ extern "C" {
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
     fn eventfd(initval: c_uint, flags: c_int) -> c_int;
-    fn listen(sockfd: c_int, backlog: c_int) -> c_int;
     fn signal(signum: c_int, handler: usize) -> usize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
 }
@@ -171,14 +170,6 @@ impl EventFd {
         let mut buf = [0u8; 8];
         let _ = (&self.file).read(&mut buf);
     }
-}
-
-/// Re-issue `listen(2)` on an already-listening socket to change its
-/// accept backlog (Linux allows this; the kernel clamps to
-/// `net.core.somaxconn`). Used by the `--backlog` flag for
-/// connection-storm workloads where the default 128 drops SYNs.
-pub fn set_listen_backlog(fd: RawFd, backlog: i32) -> std::io::Result<()> {
-    cvt(unsafe { listen(fd, backlog) }).map(|_| ())
 }
 
 /// Set once a SIGTERM handler has been installed; the reactor that

@@ -559,19 +559,13 @@ fn multi_view_batch_commits_replay_in_application_order() {
 
 #[test]
 fn group_commit_epochs_are_wal_batches() {
-    // Concurrent autocommit clients under a real epoch window: every
-    // acknowledged transaction must survive a restart, however the
-    // epochs coalesced.
+    // Concurrent autocommit clients: every acknowledged transaction
+    // must survive a restart, however the epochs coalesced. (That one
+    // epoch is one WAL record carrying every member's seq is proven
+    // deterministically by the commit pipeline's unit tests.)
     let dir = temp_dir("epochs");
     {
-        let service = Service::open(
-            union_engine(),
-            ServiceConfig {
-                epoch_window: std::time::Duration::from_micros(200),
-            },
-            durable(&dir, FsyncPolicy::Epoch, None),
-        )
-        .unwrap();
+        let service = open(union_engine(), &dir, FsyncPolicy::Epoch);
         let handles: Vec<_> = (0..4)
             .map(|client| {
                 let service = service.clone();

@@ -15,7 +15,9 @@
 //! instead of hanging it.
 //!
 //! The engine fixture is the disjoint-union shape from `sharding.rs`:
-//! independent components `v{i} = a{i} ∪ b{i}`, one shard each.
+//! independent components `v{i} = a{i} ∪ b{i}`, one shard each. The
+//! connection-scaling test runs a real `birds-serve` child instead, so
+//! its thread count can be read from outside, via `/proc`.
 
 use birds_core::UpdateStrategy;
 use birds_engine::{Engine, StrategyMode};
@@ -520,4 +522,105 @@ fn a_pipelined_script_answers_like_a_local_session_byte_for_byte() {
     );
     server.shutdown();
     server.join().unwrap();
+}
+
+#[test]
+fn a_deeply_nested_line_is_a_typed_error_and_the_connection_keeps_serving() {
+    // The reactor thread parses every request line, so 20 000 nested
+    // brackets (40 KB, well under the line cap) must not recurse that
+    // thread off the end of its stack.
+    let server = Server::spawn("127.0.0.1:0", Service::new(disjoint_engine(1)), None).unwrap();
+    let mut client = Client::connect(server.addr());
+    let deep = format!("{}{}", "[".repeat(20_000), "]".repeat(20_000));
+    let error = client.send(&deep);
+    assert!(error.contains("\"ok\": false"), "{error}");
+    assert!(error.contains("nesting deeper"), "{error}");
+    assert!(client.send(r#"{"op":"ping"}"#).contains("pong"));
+    server.shutdown();
+    server.join().unwrap();
+}
+
+/// A `birds-serve` child process, killed (and reaped) on drop.
+struct ServeChild {
+    child: std::process::Child,
+    addr: std::net::SocketAddr,
+}
+
+impl ServeChild {
+    /// Start `birds-serve` on an ephemeral port and wait for its
+    /// "listening on ADDR" line.
+    fn spawn(args: &[&str]) -> ServeChild {
+        let child = std::process::Command::new(env!("CARGO_BIN_EXE_birds-serve"))
+            .args(["--listen", "127.0.0.1:0"])
+            .args(args)
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn birds-serve");
+        // Owned by the guard before anything can panic.
+        let mut server = ServeChild {
+            child,
+            addr: ([127, 0, 0, 1], 0).into(),
+        };
+        let stdout = BufReader::new(server.child.stdout.take().expect("piped stdout"));
+        server.addr = stdout
+            .lines()
+            .map_while(Result::ok)
+            .find_map(|line| line.strip_prefix("listening on ")?.parse().ok())
+            .expect("birds-serve printed its listen address");
+        server
+    }
+
+    /// `Threads:` of the child, read from outside via `/proc`.
+    fn threads(&self) -> usize {
+        let status = std::fs::read_to_string(format!("/proc/{}/status", self.child.id())).unwrap();
+        status
+            .lines()
+            .find_map(|line| line.strip_prefix("Threads:"))
+            .and_then(|n| n.trim().parse().ok())
+            .expect("Threads: in /proc/<pid>/status")
+    }
+}
+
+impl Drop for ServeChild {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+#[test]
+fn idle_connections_do_not_become_threads() {
+    const IDLE: usize = 512;
+    // A ping on every 64th new connection keeps the client from running
+    // more than 64 connects ahead of the reactor's accept loop, inside
+    // the listener's default accept queue of 128.
+    const PING_EVERY: usize = 64;
+    let server = ServeChild::spawn(&["--workers", "2"]);
+    // One answered request means the reactor has started its worker
+    // pool, so the thread count is final.
+    let mut first = Client::connect(server.addr);
+    assert!(first.send(r#"{"op":"ping"}"#).contains("pong"));
+    let threads = server.threads();
+
+    let mut idle = Vec::with_capacity(IDLE);
+    for n in 1..=IDLE {
+        let mut conn = Client::connect(server.addr);
+        if n % PING_EVERY == 0 {
+            assert!(
+                conn.send(r#"{"op":"ping"}"#).contains("pong"),
+                "connect {n}"
+            );
+        }
+        idle.push(conn);
+    }
+    assert_eq!(
+        server.threads(),
+        threads,
+        "{IDLE} idle connections must not add threads"
+    );
+
+    let mut active = Client::connect(server.addr);
+    let answer = active.send(r#"{"op":"query","relation":"v","id":"after"}"#);
+    assert_eq!(response_id(&answer), Some(Json::str("after")), "{answer}");
+    assert!(answer.contains("\"tuples\""), "{answer}");
 }

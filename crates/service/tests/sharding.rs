@@ -10,7 +10,7 @@
 
 use birds_core::UpdateStrategy;
 use birds_engine::{Engine, StrategyMode};
-use birds_service::{Service, ServiceConfig, ServiceError};
+use birds_service::{Service, ServiceError};
 use birds_store::{tuple, Database, DatabaseSchema, Relation, Schema, SortKind, Value};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -184,7 +184,7 @@ fn reads_route_and_teardown_merges_all_shards() {
 
 /// A selection view with a domain constraint (`w` keeps positives in
 /// `s`): what the group-commit rejection path needs.
-fn constrained_service(window: Duration) -> Service {
+fn constrained_service() -> Service {
     let mut db = Database::new();
     db.add_relation(Relation::with_tuples("s", 1, vec![tuple![3]]).unwrap())
         .unwrap();
@@ -204,22 +204,19 @@ fn constrained_service(window: Duration) -> Service {
     engine
         .register_view(strategy, StrategyMode::Incremental)
         .unwrap();
-    Service::with_config(
-        engine,
-        ServiceConfig {
-            epoch_window: window,
-        },
-    )
+    Service::new(engine)
 }
 
 #[test]
 fn epoch_rejection_falls_back_to_per_transaction_semantics() {
-    // Two concurrent autocommit transactions inside one epoch window:
-    // one violates the constraint, one is fine. Whatever epochs the
-    // scheduler produced, the violator must fail, the valid one must
-    // apply, and exactly one commit must be sequenced.
+    // Two concurrent autocommit transactions: one violates the
+    // constraint, one is fine. Whatever epochs the scheduler produced,
+    // the violator must fail, the valid one must apply, and exactly one
+    // commit must be sequenced. (That a shared epoch falls back to
+    // per-member replay is proven deterministically by the commit
+    // pipeline's unit tests.)
     for _ in 0..10 {
-        let service = constrained_service(Duration::from_micros(500));
+        let service = constrained_service();
         let bad = {
             let service = service.clone();
             std::thread::spawn(move || {
@@ -252,7 +249,11 @@ fn epoch_rejection_falls_back_to_per_transaction_semantics() {
 fn windowed_epochs_coalesce_but_count_every_transaction() {
     const CLIENTS: usize = 6;
     const PER_CLIENT: usize = 10;
-    let service = constrained_service(Duration::from_micros(300));
+    // Six clients racing on one view: however their transactions fell
+    // into epochs, every one is sequenced and applied. (That queued
+    // members share one epoch is proven deterministically by the commit
+    // pipeline's unit tests.)
+    let service = constrained_service();
     let handles: Vec<_> = (0..CLIENTS)
         .map(|c| {
             let service = service.clone();
@@ -281,6 +282,54 @@ fn windowed_epochs_coalesce_but_count_every_transaction() {
             );
         }
     }
+}
+
+#[test]
+fn disjoint_commits_do_not_serialize_behind_a_held_shard() {
+    // Commits on disjoint views take disjoint shard locks. With v0's
+    // shard held — a long commit there — an autocommit and a batch on
+    // v1 still finish, while an autocommit on v0 waits for the lock.
+    let service = Service::new(disjoint_engine(2));
+    let guard = service
+        .debug_write_lock_shard("v0")
+        .expect("v0 has a shard");
+    let (done, finished) = std::sync::mpsc::channel();
+    let blocked = {
+        let (service, done) = (service.clone(), done.clone());
+        std::thread::spawn(move || {
+            service.session().execute("INSERT INTO v0 VALUES (70);")?;
+            done.send("v0").unwrap();
+            Ok::<_, ServiceError>(())
+        })
+    };
+    let free = {
+        let service = service.clone();
+        std::thread::spawn(move || {
+            let mut session = service.session();
+            session.execute("INSERT INTO v1 VALUES (71);")?;
+            session.begin()?;
+            session.execute("INSERT INTO v1 VALUES (72);")?;
+            session.execute("INSERT INTO v1 VALUES (73);")?;
+            session.commit()?;
+            done.send("v1").unwrap();
+            Ok::<_, ServiceError>(())
+        })
+    };
+    assert_eq!(
+        finished.recv_timeout(Duration::from_secs(5)),
+        Ok("v1"),
+        "an autocommit and a batch on v1 must not wait for v0's shard"
+    );
+    free.join().unwrap().unwrap();
+    assert!(
+        finished.recv_timeout(Duration::from_millis(200)).is_err(),
+        "the autocommit on v0 finished while its shard was held"
+    );
+    drop(guard);
+    assert_eq!(finished.recv_timeout(Duration::from_secs(5)), Ok("v0"));
+    blocked.join().unwrap().unwrap();
+    assert_eq!(service.commits(), 3);
+    assert!(service.query("v0").unwrap().contains(&tuple![70]));
 }
 
 #[test]
