@@ -164,19 +164,6 @@ impl UpdateStrategy {
             .collect()
     }
 
-    /// Intermediate (plain-head) rules.
-    pub fn intermediate_rules(&self) -> Vec<&Rule> {
-        self.putdelta
-            .rules
-            .iter()
-            .filter(|r| {
-                r.head
-                    .atom()
-                    .is_some_and(|a| a.pred.kind == DeltaKind::None)
-            })
-            .collect()
-    }
-
     /// Source relations that have at least one delta rule of the given
     /// kind.
     pub fn delta_targets(&self, kind: DeltaKind) -> Vec<String> {

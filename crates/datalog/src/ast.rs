@@ -361,15 +361,6 @@ impl Rule {
         vars
     }
 
-    /// Number of atoms in the body mentioning predicate `p`.
-    pub fn count_body_atoms_of(&self, p: &PredRef) -> usize {
-        self.body
-            .iter()
-            .filter_map(Literal::atom)
-            .filter(|a| &a.pred == p)
-            .count()
-    }
-
     /// A copy with variables renamed to the canonical `V0, V1, …` in order
     /// of first occurrence (head first, then body, left to right).
     pub fn canonical_vars(&self) -> Rule {
@@ -492,13 +483,6 @@ impl Program {
             .filter_map(Literal::atom)
             .map(|a| a.pred.clone())
             .collect()
-    }
-
-    /// All predicates (heads and bodies).
-    pub fn all_predicates(&self) -> BTreeSet<PredRef> {
-        let mut s = self.all_body_predicates();
-        s.extend(self.idb_predicates());
-        s
     }
 
     /// Rules whose head predicate is `p`.

@@ -409,8 +409,8 @@ impl Engine {
     /// Later mutations through the view-update path never disturb a
     /// published version. This is the engine half of the service's MVCC
     /// snapshot publication: after applying an epoch's deltas (still
-    /// under the shard's write lock), the service calls this and swaps
-    /// the result into the shard's snapshot cell. Cost per relation is
+    /// under the shard's write lock), the service calls this and
+    /// publishes the result as the shard's image. Cost per relation is
     /// `O(delta since its previous publication)` — untouched relations
     /// re-share their previous version in `O(1)`, and touched ones
     /// replay only their effective mutations into an alternate shadow
@@ -813,26 +813,6 @@ impl Engine {
             .ok_or_else(|| EngineError::NotAView(view_name.to_owned()))?;
         delta.normalize_against(view_rel);
         self.apply_view_delta(view_name, delta, 0)
-    }
-
-    /// Apply one batched delta per view, each in a single strategy
-    /// evaluation, in iteration order. Atomicity is **per view**: if the
-    /// k-th delta is rejected (constraint violation, contradictory source
-    /// delta), the first k−1 stay applied and the error is returned with
-    /// the offending view's name — callers that need all-or-nothing
-    /// semantics should batch per view. Stats are summed over all views.
-    pub fn apply_deltas(
-        &mut self,
-        deltas: impl IntoIterator<Item = (String, Delta)>,
-    ) -> EngineResult<ExecutionStats> {
-        let mut total = ExecutionStats::default();
-        for (view_name, delta) in deltas {
-            let stats = self.apply_delta(&view_name, delta)?;
-            total.view_delta_size += stats.view_delta_size;
-            total.source_delta_size += stats.source_delta_size;
-            total.cascades += stats.cascades;
-        }
-        Ok(total)
     }
 
     /// Apply an (effective, normalized) view delta to a registered view:
@@ -1455,17 +1435,6 @@ mod tests {
         assert_eq!(stats.view_delta_size, 1, "only the new tuple survives");
         assert!(engine.relation("v").unwrap().contains(&tuple![50]));
         assert!(engine.relation("r1").unwrap().contains(&tuple![50]));
-    }
-
-    #[test]
-    fn apply_deltas_sums_stats_across_views() {
-        let mut engine = union_engine(StrategyMode::Incremental);
-        let mut d = Delta::new();
-        d.push_insert(tuple![70]);
-        d.push_insert(tuple![71]);
-        let stats = engine.apply_deltas(vec![("v".to_owned(), d)]).unwrap();
-        assert_eq!(stats.view_delta_size, 2);
-        assert!(engine.relation("r1").unwrap().contains(&tuple![70]));
     }
 
     #[test]

@@ -186,11 +186,6 @@ impl<'a> EvalContext<'a> {
         self.overlay.remove(name)
     }
 
-    /// Names of all overlay relations.
-    pub fn overlay_names(&self) -> impl Iterator<Item = &str> {
-        self.overlay.keys().map(String::as_str)
-    }
-
     /// Size of the named relation, if it exists (used by the join
     /// planner's greedy ordering).
     pub fn relation_len(&self, name: &str) -> Option<usize> {

@@ -36,12 +36,11 @@
 //! A multi-view member (a session batch spanning views) is never
 //! coalesced with anything: its groups apply in order, atomically *per
 //! view*, and its deltas form one record under one seq. If it fails on
-//! its k-th view, the applied k−1 prefix is still logged under a fresh
-//! seq — recovery must converge to exactly the in-memory state — and the
-//! member still gets the engine's error. With nothing loggable (an
-//! in-memory service, or a prefix that netted to nothing) no seq is
-//! consumed and the mutated shards republish at their unchanged
-//! high-water seq (the caveat documented in [`crate::snapshot`]).
+//! its k-th view after a non-empty delta was applied, the k−1 prefix
+//! still takes a fresh seq and is published under it (and logged, on a
+//! durable service — recovery must converge to exactly the in-memory
+//! state); the member still gets the engine's error. A prefix that
+//! netted to nothing changed nothing and consumes no seq.
 //!
 //! ## Durability
 //!
@@ -142,9 +141,6 @@ impl Service {
         // of them: the snapshot publication tag, regardless of later
         // durability failures — memory changed either way.
         let (mut seqs_assigned, mut max_seq) = (0u64, None);
-        // A rejected member left an applied prefix behind without
-        // consuming a seq.
-        let mut dirty = false;
         while let Some(unit) = units.pop_front() {
             // A lone member derives from its statements by reference;
             // only a coalesced unit pays for the concatenation.
@@ -168,24 +164,28 @@ impl Service {
             // replay-log entry.
             let mut stats = ExecutionStats::default();
             let mut deltas: Vec<(String, Delta)> = Vec::new();
-            let mut applied_any = false;
+            // A non-empty net delta was applied: memory changed, so the
+            // unit takes a seq even if a later group fails.
+            let mut changed = false;
             let mut failure = None;
             for (view, statements) in groups {
                 let slot = topo.held_slot(&mut guards, view);
                 let engine = slot.as_mut().expect("an epoch holds live slots");
                 let applied = engine.derive_delta(view, statements).and_then(|delta| {
-                    let log_copy = wal.is_some().then(|| delta.clone());
-                    engine.apply_delta(view, delta).map(|pass| (log_copy, pass))
+                    // An empty net delta has no effect: no seq, no record.
+                    let effective = !delta.is_empty();
+                    let log_copy = (effective && wal.is_some()).then(|| delta.clone());
+                    engine
+                        .apply_delta(view, delta)
+                        .map(|pass| (effective, log_copy, pass))
                 });
                 match applied {
-                    Ok((log_copy, pass)) => {
-                        applied_any = true;
+                    Ok((effective, log_copy, pass)) => {
+                        changed |= effective;
                         stats.view_delta_size += pass.view_delta_size;
                         stats.source_delta_size += pass.source_delta_size;
                         stats.cascades += pass.cascades;
-                        // An empty net delta has no durable effect: no record.
-                        let loggable = log_copy.filter(|delta| !delta.is_empty());
-                        deltas.extend(loggable.map(|delta| (view.clone(), delta)));
+                        deltas.extend(log_copy.map(|delta| (view.clone(), delta)));
                     }
                     Err(e) => {
                         failure = Some(ServiceError::Engine(e));
@@ -193,12 +193,11 @@ impl Service {
                     }
                 }
             }
-            if let (Some(e), true) = (&failure, deltas.is_empty()) {
-                // Rejected with nothing loggable: no seq, no record. A
+            if let (Some(e), false) = (&failure, changed) {
+                // Rejected with nothing applied: no seq, no record. A
                 // lone member takes the error (its net path *is* the
                 // individual path); a coalesced unit falls back to
                 // per-member replay — next, in queue order.
-                dirty |= applied_any;
                 match &unit[..] {
                     [tx] => fills.push((tx, Err(e.clone()))),
                     members => members
@@ -240,8 +239,8 @@ impl Service {
         // Step 6 — publish before acknowledging: a member must find its
         // own write on the lock-free read path the moment it learns it
         // committed.
-        if max_seq.is_some() || dirty {
-            self.publish_guarded(topo, &mut guards, max_seq);
+        if let Some(seq) = max_seq {
+            self.publish_guarded(&mut guards, seq);
         }
         // Step 7 — acknowledge.
         for (tx, result) in fills {

@@ -26,16 +26,17 @@
 //!   the pipeline as one epoch (one *net* delta per view), giving
 //!   batch-level throughput to clients that never call `begin`/`commit`
 //!   (Obladi-style epochs, each as long as its leader's lock tenure).
-//! * [`snapshot`] — **MVCC snapshot reads**. Every commit publishes an
-//!   immutable, `Arc`-shared image of each shard it touched (copy-on-
-//!   write at the tuple-set level, so only touched relations are
-//!   rebuilt), tagged with the shard's high-water commit seq. All reads
-//!   — [`Service::query`], [`Service::snapshot`],
-//!   stats — run lock-free against those images: readers never wait for
-//!   writers, writers never wait for readers, and a pinned
-//!   [`ServiceSnapshot`] stays commit-seq-consistent for as long as the
-//!   reader holds it. Checkpoints serialize the published snapshots
-//!   instead of stop-the-world locking every shard.
+//! * [`snapshot`] — **MVCC snapshot reads**. The service publishes one
+//!   [`ServiceSnapshot`] behind one copy-on-write pointer: an immutable,
+//!   `Arc`-shared image per shard (copy-on-write at the tuple-set level,
+//!   so only touched relations are rebuilt), each tagged with its
+//!   shard's high-water commit seq. A commit stores all of its shards'
+//!   new images in one publication. All reads — [`Service::query`],
+//!   [`Service::snapshot`], stats — load that pointer and run lock-free:
+//!   readers never wait for writers, writers never wait for readers, and
+//!   a pinned [`ServiceSnapshot`] stays commit-seq-consistent for as
+//!   long as the reader holds it. Checkpoints serialize the published
+//!   images instead of stop-the-world locking every shard.
 //! * [`Service`] — a cheap-to-clone, thread-safe handle over the shard
 //!   set; [`Service::snapshot`] pins a consistent all-shard image,
 //!   [`Service::query`] reads one relation, both without locks.

@@ -78,7 +78,6 @@ pub struct Server {
     addr: std::net::SocketAddr,
     reactor_thread: JoinHandle<std::io::Result<()>>,
     shared: Arc<Shared>,
-    workers: usize,
 }
 
 impl Server {
@@ -92,25 +91,11 @@ impl Server {
         service: Service,
         exit_after: Option<usize>,
     ) -> std::io::Result<Server> {
-        Server::spawn_with(addr, service, exit_after, DEFAULT_MAX_LINE_BYTES)
-    }
-
-    /// [`Server::spawn`] with an explicit request-line byte cap.
-    pub fn spawn_with(
-        addr: &str,
-        service: Service,
-        exit_after: Option<usize>,
-        max_line: usize,
-    ) -> std::io::Result<Server> {
-        Server::spawn_config(
-            addr,
-            service,
-            ServerConfig {
-                max_line,
-                exit_after,
-                ..ServerConfig::default()
-            },
-        )
+        let config = ServerConfig {
+            exit_after,
+            ..ServerConfig::default()
+        };
+        Server::spawn_config(addr, service, config)
     }
 
     /// Bind and serve with full [`ServerConfig`] control.
@@ -134,21 +119,12 @@ impl Server {
             addr: local,
             reactor_thread,
             shared,
-            workers,
         })
     }
 
     /// The address the server actually bound (resolves port 0).
     pub fn addr(&self) -> std::net::SocketAddr {
         self.addr
-    }
-
-    /// Worker threads executing requests. Total serving threads are
-    /// `workers + 1` (the reactor) regardless of connection count —
-    /// `workers + 2` process-wide counting a main thread parked in
-    /// [`Server::join`].
-    pub fn worker_threads(&self) -> usize {
-        self.workers
     }
 
     /// Request a graceful drain: stop accepting and reading, answer
@@ -208,11 +184,6 @@ impl LocalClient {
     /// Send a decoded request; returns the response document.
     pub fn request(&mut self, request: &Request) -> crate::json::Json {
         dispatch(&mut self.session, request)
-    }
-
-    /// The underlying session (for direct API access in tests).
-    pub fn session_mut(&mut self) -> &mut Session {
-        &mut self.session
     }
 }
 
@@ -388,7 +359,12 @@ pub(crate) mod tests {
     #[test]
     fn oversized_lines_are_rejected_and_drained() {
         let service = union_service();
-        let server = Server::spawn_with("127.0.0.1:0", service.clone(), Some(1), 256).unwrap();
+        let config = ServerConfig {
+            max_line: 256,
+            exit_after: Some(1),
+            ..ServerConfig::default()
+        };
+        let server = Server::spawn_config("127.0.0.1:0", service.clone(), config).unwrap();
         let stream = TcpStream::connect(server.addr()).unwrap();
         let mut writer = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);
@@ -429,7 +405,12 @@ pub(crate) mod tests {
         // all answered (correlated by id; the error precedes them since
         // it is written before the follow-ups are even decoded).
         let service = union_service();
-        let server = Server::spawn_with("127.0.0.1:0", service.clone(), Some(1), 512).unwrap();
+        let config = ServerConfig {
+            max_line: 512,
+            exit_after: Some(1),
+            ..ServerConfig::default()
+        };
+        let server = Server::spawn_config("127.0.0.1:0", service.clone(), config).unwrap();
         let stream = TcpStream::connect(server.addr()).unwrap();
         let mut writer = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);

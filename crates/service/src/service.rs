@@ -18,29 +18,32 @@
 //! ## Live topology
 //!
 //! The sharded state — lock slots, routing table, group-commit queues,
-//! snapshot cells, WAL segment writers — lives in one `Topology`
-//! value behind an `Arc` that every request loads exactly once
-//! (`Service::topology`). Dynamic registration
-//! ([`Service::register_view`] / [`Service::unregister_view`]) builds a
-//! *successor* topology and swaps the `Arc`: the quiesce barrier is the
-//! write locks of **only the shards the new view's footprint touches**
-//! (computed by [`birds_engine::strategy_touches`] before any lock is
-//! taken); disjoint shards keep committing throughout. The affected
+//! WAL segment writers — lives in one `Topology` value behind an `Arc`
+//! that every write loads exactly once (`Service::topology`); reads
+//! load only the published snapshot ([`crate::snapshot`]). Dynamic
+//! registration ([`Service::register_view`] /
+//! [`Service::unregister_view`]) builds a *successor* topology and
+//! swaps the `Arc`: the quiesce barrier is the write locks of **only
+//! the shards the new view's footprint touches** (computed by
+//! [`birds_engine::strategy_touches`] before any lock is taken);
+//! disjoint shards keep committing throughout. The affected
 //! shards' engines are taken out of their slots (which become `None` —
 //! permanently, for a retired generation), merged
 //! ([`Engine::merge`]), mutated, re-split, and installed under **fresh**
 //! slot `Arc`s, so a stale thread that raced the swap can never touch a
 //! new engine through an old lock set: it finds `None`, reloads the
-//! topology, and retries. Surviving shards carry their slot, cell and
+//! topology, and retries. Surviving shards carry their slot and
 //! committer `Arc`s across generations unchanged — `LockId` *i* names
 //! the same lock in every generation, which keeps ascending-order
 //! acquisition deadlock-free even when old- and new-generation threads
 //! interleave.
 //!
 //! Lock order across the subsystem: checkpoint lock → registration
-//! lock → shard locks (ascending) → WAL writer mutex. Registrations
-//! serialize on the registration lock; checkpoints freeze the
-//! registration set for their whole duration by taking that lock too.
+//! lock → shard locks (ascending) → WAL writer mutex; and shard locks →
+//! the published snapshot's write lock, never the reverse.
+//! Registrations serialize on the registration lock; checkpoints freeze
+//! the registration set for their whole duration by taking that lock
+//! too.
 //!
 //! ## The commit pipeline
 //!
@@ -69,9 +72,9 @@
 //!   acknowledging any client* — a client that saw `Ok` finds its write
 //!   on the lock-free read path, and a reader never sees a commit's
 //!   effects before that commit's WAL record was appended. A
-//!   registration publishes every replacement shard's snapshot (tagged
-//!   with the registration's seq) *before* the topology swap, so both
-//!   generations are consistent cuts at every instant.
+//!   registration publishes its successor snapshot (replacement shards
+//!   tagged with the registration's seq, and the successor route)
+//!   *before* the topology swap, in one store.
 //! * **Durability coupling**: on a durable service, no result slot is
 //!   filled until the epoch-end fsync ran, and a registration is
 //!   installed only after its [`WalRecord::Register`] reached the log —
@@ -81,11 +84,11 @@
 //!
 //! Reads never touch the shard engine locks: [`Service::query`],
 //! [`Service::relation_stats`], [`Service::view_names`] and
-//! [`Service::snapshot`] all work against the shards'
-//! published MVCC snapshots ([`crate::snapshot`]). A long analytical
-//! read holds an `Arc` to an immutable image; writers keep committing
-//! (each publication refreshes a shadow buffer, never the pinned one)
-//! and readers keep reading — neither waits for the other.
+//! [`Service::snapshot`] all load the one published MVCC snapshot
+//! ([`crate::snapshot`]). A long analytical read holds an `Arc` to an
+//! immutable image; writers keep committing (each publication
+//! refreshes a shadow buffer, never the pinned one) and readers keep
+//! reading — neither waits for the other.
 //!
 //! Each client holds a [`Session`] in one of two modes:
 //!
@@ -104,7 +107,7 @@ use crate::error::{ServiceError, ServiceResult};
 use crate::footprint::{partition, ShardMap};
 use crate::group_commit::{GroupCommitter, PendingTx, TxResult};
 use crate::locks::{LockId, LockManager};
-use crate::snapshot::{ServiceSnapshot, ShardSnapshot, SnapshotCell};
+use crate::snapshot::{Published, ServiceSnapshot, ShardSnapshot};
 use birds_core::UpdateStrategy;
 use birds_engine::{
     strategy_touches, Engine, EngineError, ExecutionStats, StrategyMode, ViewDefinition,
@@ -191,29 +194,26 @@ struct WalState {
     heal_failures: AtomicU64,
 }
 
-/// One generation of the sharded state. Every request loads the current
+/// One generation of the sharded state. Every write loads the current
 /// generation exactly once (`Service::topology`) and works against a
-/// consistent quintuple; a live re-shard builds a successor and swaps
+/// consistent quadruple; a live re-shard builds a successor and swaps
 /// the `Arc` while holding the affected shards' write locks.
 ///
-/// All five vectors are indexed by [`LockId`]; a retired slot (its
-/// engine merged away by a re-shard that didn't reuse the index) holds
-/// `None` forever and is never routed to.
+/// Slots, committers and writers are indexed by [`LockId`]; a retired
+/// slot (its engine merged away by a re-shard that didn't reuse the
+/// index) holds `None` forever and is never routed to.
 pub(crate) struct Topology {
     /// One engine component (and one reader-writer lock) per footprint
     /// shard; slot order is [`LockId`] order. `None` marks a retired
     /// slot — a stale thread that finds it reloads the topology.
     shards: LockManager<Option<Engine>>,
-    /// Relation name → owning shard (shared with every
-    /// [`ServiceSnapshot`] handed out).
+    /// Relation name → owning shard (shared with the published
+    /// [`ServiceSnapshot`] of the same generation).
     route: Arc<ShardMap>,
     /// One group-commit queue per shard. A retired shard's committer is
     /// closed by the re-shard that retired it; its queued transactions
     /// migrate to the successor's committers.
     committers: Vec<Arc<GroupCommitter>>,
-    /// One published-snapshot cell per shard; the entire lock-free read
-    /// path hangs off these. Survivors share cells across generations.
-    cells: Vec<Arc<SnapshotCell>>,
     /// One WAL segment writer per shard (empty on in-memory services).
     /// Shared across generations so a surviving shard's log continues
     /// seamlessly through a re-shard.
@@ -251,21 +251,8 @@ struct ServiceInner {
     /// registration set while the manifest is written.
     registration_lock: Mutex<()>,
     commit_seq: AtomicU64,
-    /// Seqlock over *multi-shard* snapshot publication: odd while a
-    /// multi-shard commit is swapping several cells, bumped to even
-    /// when done. Single-shard commits never touch it — they commute
-    /// with each other, so any mix of their publications is a
-    /// consistent cut; only a multi-shard commit can establish a
-    /// cross-shard invariant that a reader must not see half of.
-    publication_seq: AtomicU64,
-    /// Serializes multi-shard publications. Two batch commits with
-    /// *disjoint* multi-shard footprints hold disjoint shard locks, so
-    /// without this their seqlock brackets would interleave — two
-    /// opening increments make the counter even again (0→1→2) while
-    /// both are still mid-swap, and a reader could assemble a torn
-    /// cut. Held only around the pointer swaps (no engine work), so
-    /// the cost is negligible.
-    publication_lock: Mutex<()>,
+    /// The one published snapshot: the entire lock-free read path.
+    published: Published,
     /// `Some` when the service is durable ([`Service::open`]).
     wal: Option<WalState>,
 }
@@ -544,30 +531,29 @@ impl Service {
             .map(|_| Arc::new(GroupCommitter::default()))
             .collect();
         let shards = LockManager::new(components.into_iter().map(Some).collect());
+        let route = Arc::new(route);
         // Initial snapshot publication: every shard's image as of the
-        // recovered (or zero) commit seq. Nothing is shared yet, so no
-        // locks are needed.
-        let cells: Vec<Arc<SnapshotCell>> = shards
+        // recovered (or zero) commit seq.
+        let images = shards
             .ids()
             .map(|id| {
                 let mut slot = shards.write(id);
                 let engine = slot.as_mut().expect("fresh slots are live");
-                Arc::new(SnapshotCell::new(ShardSnapshot::capture(engine, start_seq)))
+                Arc::new(ShardSnapshot::capture(engine, start_seq))
             })
             .collect();
+        let published = Published::new(images, Arc::clone(&route));
         Ok(Service {
             inner: Arc::new(ServiceInner {
                 topology: RwLock::new(Arc::new(Topology {
                     shards,
-                    route: Arc::new(route),
+                    route,
                     committers,
-                    cells,
                     writers,
                 })),
                 registration_lock: Mutex::new(()),
                 commit_seq: AtomicU64::new(start_seq),
-                publication_seq: AtomicU64::new(0),
-                publication_lock: Mutex::new(()),
+                published,
                 wal,
             }),
         })
@@ -601,19 +587,15 @@ impl Service {
 }
 
 impl Service {
-    /// Assemble a consistent, **lock-free** snapshot over every shard —
-    /// the MVCC read entry point. The returned [`ServiceSnapshot`] is an
-    /// owned value: pin it as long as you like; it observes none of the
-    /// commits that land after assembly, and holding it never blocks a
-    /// writer (nor vice versa — no shard engine lock is taken).
+    /// A consistent, **lock-free** snapshot over every shard — the MVCC
+    /// read entry point. The returned [`ServiceSnapshot`] is an owned
+    /// value: pin it as long as you like; it observes none of the
+    /// commits that land after it was loaded, and holding it never
+    /// blocks a writer (nor vice versa — no shard engine lock is taken).
     ///
-    /// Cross-shard consistency: single-shard commits publish their cell
-    /// independently (they commute, so any mix of cells is a consistent
-    /// cut); only multi-shard commits bracket their publication with the
-    /// publication seqlock, and assembly retries the cheap pointer
-    /// collection while one is in flight. A live re-shard swaps the
-    /// whole topology `Arc` atomically, so assembly sees either
-    /// generation in full — never a mix.
+    /// Every commit, multi-shard ones and re-shards included, publishes
+    /// by storing one new snapshot, so one pointer load is a consistent
+    /// cut.
     ///
     /// ```
     /// # use birds_service::Service;
@@ -630,39 +612,11 @@ impl Service {
     /// assert!(pinned.relation("nope").is_none());
     /// ```
     pub fn snapshot(&self) -> ServiceSnapshot {
-        let topo = self.topology();
-        if topo.cells.len() <= 1 {
-            // A single cell load is trivially consistent.
-            let shards = topo.cells.iter().map(|cell| cell.load()).collect();
-            return ServiceSnapshot::new(shards, Arc::clone(&topo.route));
-        }
-        let mut spins = 0u32;
-        loop {
-            let before = self.inner.publication_seq.load(Ordering::Acquire);
-            if before % 2 == 1 {
-                // A multi-shard publication is mid-swap; its cell stores
-                // are pointer writes, so it normally clears within a few
-                // spins. If the publisher was preempted inside the
-                // bracket, yield instead of burning CPU (on a single
-                // core a pure spin could starve the very thread we are
-                // waiting on).
-                spins += 1;
-                if spins < 64 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-                continue;
-            }
-            let shards: Vec<_> = topo.cells.iter().map(|cell| cell.load()).collect();
-            if self.inner.publication_seq.load(Ordering::Acquire) == before {
-                return ServiceSnapshot::new(shards, Arc::clone(&topo.route));
-            }
-        }
+        self.inner.published.snapshot()
     }
 
     /// Sorted snapshot of a relation's tuples, read lock-free from the
-    /// owning shard's published snapshot.
+    /// published snapshot.
     /// [`ServiceError::UnknownRelation`] for names no shard owns.
     ///
     /// ```
@@ -681,14 +635,14 @@ impl Service {
     /// # Ok::<(), birds_service::ServiceError>(())
     /// ```
     pub fn query(&self, relation: &str) -> ServiceResult<Vec<Tuple>> {
-        let topo = self.topology();
-        let shard = topo
-            .route
-            .shard_of(relation)
-            .ok_or_else(|| ServiceError::UnknownRelation(relation.to_owned()))?;
-        let snapshot = topo.cells[shard.index()].load();
-        let rel = snapshot
+        // Keep only this relation's version: the rest of the snapshot is
+        // dropped here, so a long read pins no other shard's buffers.
+        let rel = self
+            .inner
+            .published
+            .load()
             .relation(relation)
+            .cloned()
             .ok_or_else(|| ServiceError::UnknownRelation(relation.to_owned()))?;
         let mut tuples: Vec<Tuple> = rel.iter().cloned().collect();
         tuples.sort();
@@ -698,7 +652,7 @@ impl Service {
     /// Names of all registered views, in name order — from the
     /// published snapshots, no shard lock taken.
     pub fn view_names(&self) -> Vec<String> {
-        self.snapshot().view_names()
+        self.inner.published.load().view_names()
     }
 
     /// Statistics for every relation, in name order — from the
@@ -708,7 +662,7 @@ impl Service {
     /// so a climbing miss count flags a probe path that fell back to a
     /// full scan (planner/registration drift) instead of failing silently.
     pub fn relation_stats(&self) -> Vec<RelationStats> {
-        let snapshot = self.snapshot();
+        let snapshot = self.inner.published.load();
         let mut stats: Vec<RelationStats> = snapshot
             .relations()
             .map(|rel| RelationStats {
@@ -773,44 +727,18 @@ impl Service {
         BTreeSet::new()
     }
 
-    /// Publish every shard in a batch commit's footprint. With a new
-    /// seq (`Some`) the shards' high-water advances to it; with `None`
-    /// (the no-seq in-memory error path) each shard republishes its
-    /// mutated contents at its unchanged high-water. Multi-shard
-    /// publications serialize on `publication_lock` and bracket with
-    /// the publication seqlock so a concurrent [`Service::snapshot`]
-    /// never assembles half of one.
-    pub(crate) fn publish_guarded(
-        &self,
-        topo: &Topology,
-        guards: &mut ShardGuards<'_>,
-        seq: Option<u64>,
-    ) {
-        let multi = guards.len() > 1;
-        // Disjoint multi-shard footprints don't contend on any shard
-        // lock, so the seqlock bracket alone can't keep them apart:
-        // serialize here, making "counter is odd" equivalent to
-        // "exactly one publication is mid-swap". The critical section
-        // is Arc pointer swaps only.
-        let _serialized = multi.then(|| {
-            self.inner
-                .publication_lock
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-        });
-        if multi {
-            // Odd: publication in flight.
-            self.inner.publication_seq.fetch_add(1, Ordering::AcqRel);
-        }
-        for (id, slot) in guards.iter_mut() {
-            let publish_seq = seq.unwrap_or_else(|| topo.cells[id.index()].load().commit_seq());
-            let engine = slot.as_mut().expect("commit holds live slots");
-            topo.cells[id.index()].publish(ShardSnapshot::capture(engine, publish_seq));
-        }
-        if multi {
-            // Even: done.
-            self.inner.publication_seq.fetch_add(1, Ordering::AcqRel);
-        }
+    /// Publish every shard in a commit's footprint at `seq`: capture
+    /// the images under the held shard locks, then store them all in
+    /// one publication, so no reader sees half of a multi-shard commit.
+    pub(crate) fn publish_guarded(&self, guards: &mut ShardGuards<'_>, seq: u64) {
+        let images: Vec<_> = guards
+            .iter_mut()
+            .map(|(id, slot)| {
+                let engine = slot.as_mut().expect("commit holds live slots");
+                (*id, Arc::new(ShardSnapshot::capture(engine, seq)))
+            })
+            .collect();
+        self.inner.published.publish(images, None);
     }
 
     /// Number of committed transactions (autocommit scripts, batch
@@ -1082,13 +1010,13 @@ impl Service {
         // sealed writer (earlier IO failure — its tail may be torn)
         // cannot be rotated; its whole series is instead deleted after
         // the snapshot renames, which also unseals it.
-        let mut images: Vec<Arc<ShardSnapshot>> = Vec::with_capacity(topo.cells.len());
+        let mut images: Vec<Arc<ShardSnapshot>> = Vec::with_capacity(topo.shards.len());
         let mut defs: Vec<ViewDef> = Vec::new();
         let mut closed_segments: Vec<PathBuf> = Vec::new();
         let mut sealed_shards: Vec<usize> = Vec::new();
         for id in topo.shards.ids() {
             let slot = topo.shards.write(id);
-            let image = topo.cells[id.index()].load();
+            let image = Arc::clone(self.inner.published.load().shard(id));
             if let Some(engine) = slot.as_ref() {
                 defs.extend(engine.view_definitions().iter().map(def_to_wal));
             }
@@ -1261,27 +1189,26 @@ impl Service {
         // Pre-checks against the published catalogue — no lock taken,
         // and the registration lock guarantees no concurrent
         // registration invalidates them before we quiesce.
-        if let Some(shard) = topo.route.shard_of(&name) {
-            return Err(if topo.cells[shard.index()].load().is_view(&name) {
+        let published = self.inner.published.load();
+        if published.relation(&name).is_some() {
+            return Err(if published.is_view(&name) {
                 ServiceError::ViewExists(name)
             } else {
                 ServiceError::RelationConflict(name)
             });
         }
         for schema in &strategy.source_schema.relations {
-            let Some(shard) = topo.route.shard_of(&schema.name) else {
+            let Some(source) = published.relation(&schema.name) else {
                 return Err(ServiceError::InvalidStrategy {
                     reason: format!("source relation '{}' does not exist", schema.name),
                 });
             };
-            let live_arity = topo.cells[shard.index()]
-                .load()
-                .relation(&schema.name)
-                .map(RelationVersion::arity);
-            if live_arity != Some(schema.arity()) {
+            if source.arity() != schema.arity() {
                 return Err(ServiceError::RelationConflict(schema.name.clone()));
             }
         }
+        // Validation can take seconds: pin no shard's buffers through it.
+        drop(published);
         // Full validation — shape checks plus the solver's
         // well-behavedness analysis — before any shard is disturbed.
         // The derived get program doubles as the footprint input.
@@ -1350,8 +1277,8 @@ impl Service {
         let topo = self.topology();
         // Pre-check against the published catalogue, like registration:
         // the registration lock keeps it current until we quiesce.
-        let is_view = |shard: &LockId| topo.cells[shard.index()].load().is_view(view);
-        let Some(shard) = topo.route.shard_of(view).filter(is_view) else {
+        let is_view = self.inner.published.load().is_view(view);
+        let Some(shard) = topo.route.shard_of(view).filter(|_| is_view) else {
             return Err(ServiceError::Engine(EngineError::NotAView(view.to_owned())));
         };
         let mut guards = topo.shards.write_set(vec![shard]);
@@ -1406,9 +1333,9 @@ impl Service {
     /// pass through the commit bracket: take a commit seq, split
     /// `merged`, assign shard ids (the retired ids — those of the held
     /// `guards` — are reused in ascending order, overflow gets fresh
-    /// ids), log `record(seq)` to the WAL, publish the replacement
-    /// shards' snapshots at `seq`, migrate the retired committers'
-    /// queued transactions, and atomically store the new `Topology`.
+    /// ids), log `record(seq)` to the WAL, migrate the retired
+    /// committers' queued transactions, publish the successor snapshot
+    /// and atomically store the new `Topology`.
     /// Returns the seq.
     ///
     /// On failure (WAL segment open or record append) **nothing is
@@ -1480,35 +1407,32 @@ impl Service {
             .map(|id| id.index())
             .zip(components)
             .collect();
+        // The successor snapshot's new entries, in ascending id order;
+        // survivors keep whatever entry is current when it is stored.
+        let mut images = Vec::new();
+        let empty = Arc::new(ShardSnapshot::empty(seq));
         let mut slots = Vec::with_capacity(new_len);
-        let mut cells = Vec::with_capacity(new_len);
         let mut committers = Vec::with_capacity(new_len);
-        for index in 0..new_len {
-            if let Some(mut component) = replacements.remove(&index) {
-                // Replacement shard: FRESH slot/cell/committer Arcs, so
-                // an old-generation thread still holding the previous
+        for id in (0..new_len).map(LockId::new) {
+            if let Some(mut component) = replacements.remove(&id.index()) {
+                // Replacement shard: FRESH slot/committer Arcs, so an
+                // old-generation thread still holding the previous
                 // generation's lock set can never reach this engine.
-                // Published before the swap, so the new generation is a
-                // consistent cut the moment it becomes visible.
-                cells.push(Arc::new(SnapshotCell::new(ShardSnapshot::capture(
-                    &mut component,
-                    seq,
-                ))));
+                images.push((id, Arc::new(ShardSnapshot::capture(&mut component, seq))));
                 slots.push(Arc::new(RwLock::new(Some(component))));
                 committers.push(Arc::new(GroupCommitter::default()));
-            } else if retired.iter().any(|id| id.index() == index) {
+            } else if retired.contains(&id) {
                 // Retired without replacement: the slot stays `None`
                 // forever (in this and all later generations unless a
                 // future re-shard reuses the index with fresh Arcs).
-                cells.push(Arc::new(SnapshotCell::new(ShardSnapshot::empty(seq))));
+                images.push((id, Arc::clone(&empty)));
                 slots.push(Arc::new(RwLock::new(None)));
                 committers.push(Arc::new(GroupCommitter::default()));
-            } else if index < old_len {
+            } else if id.index() < old_len {
                 // Survivor: same Arcs across generations — LockId
                 // identity is what keeps ascending lock order global.
-                slots.push(topo.shards.slot(LockId::new(index)));
-                cells.push(Arc::clone(&topo.cells[index]));
-                committers.push(Arc::clone(&topo.committers[index]));
+                slots.push(topo.shards.slot(id));
+                committers.push(Arc::clone(&topo.committers[id.index()]));
             } else {
                 unreachable!("extended indices always carry a replacement");
             }
@@ -1538,11 +1462,16 @@ impl Service {
                 }
             }
         }
+        // Published before the swap and in one store, so a reader sees
+        // either generation in full; a survivor publishing concurrently
+        // keeps its entry whichever of the two stores comes first.
+        self.inner
+            .published
+            .publish(images, Some(Arc::clone(&route)));
         let successor = Arc::new(Topology {
             shards: LockManager::from_slots(slots),
             route,
             committers,
-            cells,
             writers,
         });
         match self.inner.topology.write() {

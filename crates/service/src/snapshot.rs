@@ -1,9 +1,11 @@
 //! MVCC snapshots: the lock-free read side of the service.
 //!
-//! Every shard owns a snapshot cell holding an `Arc` to the shard's
-//! latest published [`ShardSnapshot`] — an immutable image of the
-//! shard's relations ([`RelationVersion`]s, `Arc`-shared version
-//! buffers) tagged with the shard's **high-water commit seq**.
+//! The service publishes one [`ServiceSnapshot`]: an `Arc` per shard to
+//! the shard's latest [`ShardSnapshot`] — an immutable image of its
+//! relations ([`RelationVersion`]s, `Arc`-shared version buffers)
+//! tagged with the shard's **high-water commit seq** — plus the routing
+//! table of the generation that published it. One `RwLock<Arc<_>>`
+//! holds it; every read loads that pointer and nothing else.
 //!
 //! ## Visibility rule
 //!
@@ -14,45 +16,35 @@
 //! commit's WAL record is appended, on durable services): a reader can
 //! never observe a commit's effects before that commit is logged.
 //!
-//! One deliberate exception, on **in-memory** services only: batch
-//! atomicity is per view, so a multi-view batch that fails on its k-th
-//! view keeps the first k−1 views applied. With no WAL to log that
-//! prefix under a fresh seq (the durable path does exactly that), the
-//! mutated shards republish at their *unchanged* high-water seq — the
-//! lock-free read path must keep matching engine memory, so the failed
-//! batch's applied prefix is visible seq-less. Its mutations carry no
-//! commit seq of their own and the batch reported an error.
-//!
 //! ## Why readers never block writers (and vice versa)
 //!
-//! Readers load the cell pointer — a nanosecond-scale `RwLock` critical
-//! section around an `Arc` clone, never the shard's engine lock — and
-//! then work entirely against the immutable image. Writers publish by
-//! swapping the pointer. The engine's left-right versioned tuple sets
-//! ([`birds_store::Relation`]) make publication `O(delta)`, not
+//! Readers load the pointer — a nanosecond-scale `RwLock` critical
+//! section around an `Arc` clone, never a shard's engine lock — and
+//! then work entirely against the immutable image. Writers capture
+//! their shards' images under their shard locks, then take the write
+//! lock only to copy the vector of shard `Arc`s, replace their own
+//! entries and store the result. The engine's left-right versioned
+//! tuple sets ([`birds_store::Relation`]) make capture `O(delta)`, not
 //! `O(tuples)`: an epoch that touched two relations replays its ops
 //! into their shadow buffers and re-shares every untouched one.
 //!
 //! ## Cross-shard consistency
 //!
-//! A [`ServiceSnapshot`] assembles one `Arc` per shard. Commits that
-//! touch a *single* shard publish independently — they commute with
-//! every other single-shard commit, so any combination of cell pointers
-//! is a consistent cut. Commits that touch *multiple* shards (a batch
-//! spanning footprint components) are the only writes that can
-//! establish a cross-shard invariant, so only they bracket their
-//! publication with the service's publication seqlock; readers retry
-//! the (cheap) pointer collection if such a publication was in flight.
+//! A multi-shard commit replaces all of its entries in one store, so no
+//! reader ever sees half of it. Each publisher copies the vector under
+//! the write lock, so commits on disjoint shards never drop each
+//! other's entries.
 
 use crate::footprint::ShardMap;
+use crate::locks::LockId;
 use birds_engine::Engine;
 use birds_store::RelationVersion;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// An immutable image of one shard's relations at a commit boundary.
 ///
 /// Produced under the shard's write lock, shared with readers through
-/// the shard's snapshot cell. Once published it never changes;
+/// the published [`ServiceSnapshot`]. Once published it never changes;
 /// holding the `Arc` pins the image for as long as the reader likes,
 /// at the cost of keeping the (structurally shared) tuple sets alive.
 #[derive(Debug)]
@@ -76,10 +68,9 @@ impl ShardSnapshot {
     /// before the service is shared), so the image is a commit
     /// boundary.
     pub(crate) fn capture(engine: &mut Engine, commit_seq: u64) -> ShardSnapshot {
-        let relations = engine.relation_versions();
         ShardSnapshot {
             commit_seq,
-            relations,
+            relations: engine.relation_versions(),
             views: engine.view_names().map(str::to_owned).collect(),
         }
     }
@@ -87,8 +78,8 @@ impl ShardSnapshot {
     /// An empty image — what a *retired* shard slot publishes after a
     /// live re-shard moved its relations elsewhere. No route entry ever
     /// points at a retired slot, so the image is unreachable through
-    /// normal reads; it exists so whole-service assembly stays a plain
-    /// per-slot pointer collection.
+    /// normal reads; it keeps the published vector indexed by
+    /// [`LockId`].
     pub(crate) fn empty(commit_seq: u64) -> ShardSnapshot {
         ShardSnapshot {
             commit_seq,
@@ -129,75 +120,36 @@ impl ShardSnapshot {
     }
 }
 
-/// One shard's published-snapshot slot: a pointer-swap cell.
-///
-/// The `RwLock` here guards only the `Arc` pointer — critical sections
-/// are a clone or a store, never engine work — so a reader loading the
-/// cell cannot be blocked by a writer holding the shard's *engine*
-/// lock, which is the whole point of the MVCC read path.
-pub(crate) struct SnapshotCell {
-    ptr: RwLock<Arc<ShardSnapshot>>,
-}
-
-impl SnapshotCell {
-    pub(crate) fn new(snapshot: ShardSnapshot) -> SnapshotCell {
-        SnapshotCell {
-            ptr: RwLock::new(Arc::new(snapshot)),
-        }
-    }
-
-    /// Swap in a freshly captured snapshot. Called with the shard's
-    /// write lock held, so publications are ordered like commits.
-    pub(crate) fn publish(&self, snapshot: ShardSnapshot) {
-        let snapshot = Arc::new(snapshot);
-        // A panic between a lock acquisition and release here is
-        // impossible (the critical section is a pointer store), but
-        // recover from poisoning anyway — the pointer is always valid.
-        match self.ptr.write() {
-            Ok(mut slot) => *slot = snapshot,
-            Err(poisoned) => *poisoned.into_inner() = snapshot,
-        }
-    }
-
-    /// Load the current snapshot pointer (an `Arc` clone).
-    pub(crate) fn load(&self) -> Arc<ShardSnapshot> {
-        match self.ptr.read() {
-            Ok(slot) => Arc::clone(&slot),
-            Err(poisoned) => Arc::clone(&poisoned.into_inner()),
-        }
-    }
-}
-
 /// A consistent, pinnable, lock-free view over every shard: what
 /// [`crate::Service::snapshot`] returns.
 ///
-/// Assembly takes no shard lock — it collects each shard's published
-/// `Arc` and retries (via the service's publication seqlock) only if a
-/// multi-shard commit was publishing concurrently. The result is an
-/// owned value: keep it as long as you like; it observes none of the
-/// commits that happen after assembly.
+/// Loading it takes no shard lock and never retries: every publication
+/// stores a whole new snapshot. The result is an owned value: keep it
+/// as long as you like; it observes none of the commits that happen
+/// after it was loaded.
 pub struct ServiceSnapshot {
+    /// One image per shard slot, indexed by [`LockId`].
     shards: Vec<Arc<ShardSnapshot>>,
     route: Arc<ShardMap>,
 }
 
 impl ServiceSnapshot {
-    pub(crate) fn new(shards: Vec<Arc<ShardSnapshot>>, route: Arc<ShardMap>) -> ServiceSnapshot {
-        ServiceSnapshot { shards, route }
+    /// The image of shard `id`.
+    pub(crate) fn shard(&self, id: LockId) -> &Arc<ShardSnapshot> {
+        &self.shards[id.index()]
     }
 
     /// Read access to any relation (base table or materialized view);
     /// `None` for names no shard owns.
     pub fn relation(&self, name: &str) -> Option<&RelationVersion> {
-        let shard = self.route.shard_of(name)?;
-        self.shards[shard.index()].relation(name)
+        self.shard(self.route.shard_of(name)?).relation(name)
     }
 
     /// Is `name` a registered updatable view?
     pub fn is_view(&self, name: &str) -> bool {
         self.route
             .shard_of(name)
-            .is_some_and(|shard| self.shards[shard.index()].is_view(name))
+            .is_some_and(|shard| self.shard(shard).is_view(name))
     }
 
     /// Names of all registered views, in name order.
@@ -221,20 +173,58 @@ impl ServiceSnapshot {
     /// shards): every commit with seq ≤ the *per-shard* seq is visible
     /// on that shard.
     pub fn commit_seq(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|shard| shard.commit_seq())
-            .max()
-            .unwrap_or(0)
+        self.shard_seqs().into_iter().max().unwrap_or(0)
     }
 
     /// Per-shard high-water commit seqs, in shard (lock-id) order.
     pub fn shard_seqs(&self) -> Vec<u64> {
         self.shards.iter().map(|shard| shard.commit_seq()).collect()
     }
+}
 
-    /// Number of shards covered.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+/// The service's one published snapshot. The `RwLock` guards only the
+/// `Arc` pointer — a reader clones it, a publisher copies the vector of
+/// shard `Arc`s and stores a new one, never engine work — so a reader is
+/// never blocked by a writer holding a shard's engine lock. Publishers
+/// take it after their shard locks, never before.
+pub(crate) struct Published(RwLock<Arc<ServiceSnapshot>>);
+
+impl Published {
+    pub(crate) fn new(shards: Vec<Arc<ShardSnapshot>>, route: Arc<ShardMap>) -> Published {
+        Published(RwLock::new(Arc::new(ServiceSnapshot { shards, route })))
+    }
+
+    /// The current snapshot (an `Arc` clone).
+    pub(crate) fn load(&self) -> Arc<ServiceSnapshot> {
+        Arc::clone(&self.0.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// The current snapshot as an owned value (copies of its `Arc`s).
+    pub(crate) fn snapshot(&self) -> ServiceSnapshot {
+        let current = self.load();
+        let (shards, route) = (current.shards.clone(), Arc::clone(&current.route));
+        ServiceSnapshot { shards, route }
+    }
+
+    /// Replace the entries of `images` in one store, and the routing
+    /// table too when a re-shard passes its successor `route`. Ids past
+    /// the current end (a re-shard's fresh slots) come in ascending
+    /// order. The copy is made under the write lock, so concurrent
+    /// publishers on disjoint shards keep each other's entries.
+    pub(crate) fn publish(
+        &self,
+        images: impl IntoIterator<Item = (LockId, Arc<ShardSnapshot>)>,
+        route: Option<Arc<ShardMap>>,
+    ) {
+        let mut current = self.0.write().unwrap_or_else(PoisonError::into_inner);
+        let mut shards = current.shards.clone();
+        for (id, image) in images {
+            match shards.get_mut(id.index()) {
+                Some(entry) => *entry = image,
+                None => shards.push(image),
+            }
+        }
+        let route = route.unwrap_or_else(|| Arc::clone(&current.route));
+        *current = Arc::new(ServiceSnapshot { shards, route });
     }
 }

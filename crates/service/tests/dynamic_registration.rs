@@ -360,3 +360,52 @@ fn protocol_register_unregister_validate_round_trip() {
     assert!(resp.contains(r#""valid": false"#), "{resp}");
     assert!(service.view_names().is_empty());
 }
+
+/// A re-shard publishes its successor snapshot — new route, replacement
+/// images, survivors' entries — in one store, before the topology swap.
+/// A reader looping `snapshot()` and `query` on the base tables while a
+/// view over the two free tables is registered and unregistered 50
+/// times never gets `UnknownRelation` and never sees a base table go
+/// missing.
+#[test]
+fn reads_keep_every_base_table_across_re_shards() {
+    const ROUNDS: usize = 50;
+    const BASES: [&str; 4] = ["a0", "b0", "p", "q"];
+    let service = Service::new(engine_with_free_tables(1));
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let reader = {
+        let service = service.clone();
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut reads = 0usize;
+            while !stop.load(Ordering::Relaxed) {
+                let snapshot = service.snapshot();
+                for base in BASES {
+                    assert!(
+                        snapshot.relation(base).is_some(),
+                        "a snapshot lost base table {base}"
+                    );
+                    let rows = service.query(base);
+                    assert!(
+                        matches!(&rows, Ok(rows) if rows.len() == 1),
+                        "query({base}) = {rows:?}"
+                    );
+                }
+                reads += 1;
+            }
+            reads
+        })
+    };
+
+    for _ in 0..ROUNDS {
+        service
+            .register_view(union_strategy("w", "p", "q"), StrategyMode::Incremental)
+            .unwrap();
+        service.unregister_view("w").unwrap();
+    }
+    stop.store(true, Ordering::Relaxed);
+    assert!(reader.join().unwrap() > 0);
+    assert_eq!(service.view_names(), vec!["v0".to_owned()]);
+    assert_eq!(service.shard_count(), 3); // v0's component, p, q
+}

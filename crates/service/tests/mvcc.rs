@@ -1,21 +1,23 @@
 //! MVCC read-path guarantees: snapshot isolation and non-interference.
 //!
-//! These tests pin the two claims the snapshot subsystem makes
+//! These tests pin the claims the snapshot subsystem makes
 //! (`crates/service/src/snapshot.rs`):
 //!
 //! 1. **Readers never wait for writers.** A held shard *write* lock —
 //!    the worst case, a commit parked mid-critical-section — must not
 //!    block `query`, `snapshot`, or `relation_stats`, because reads go
-//!    through published `Arc` images, never through the shard locks.
+//!    through the one published snapshot, never through the shard locks.
 //! 2. **A pinned snapshot is immutable.** A `ServiceSnapshot` taken
 //!    before a storm of commits observes exactly the image it pinned —
 //!    same tuples, same per-shard commit seqs — no matter how many
 //!    epochs advance underneath it.
+//! 3. **Publication is atomic and loses nothing.** A multi-shard commit
+//!    is seen whole or not at all, and concurrent commits on disjoint
+//!    shards never drop each other's entries from the published vector.
 //!
 //! The engine here is the disjoint-union fixture from `sharding.rs`:
 //! `views` independent components `v{i} = a{i} ∪ b{i}` plus a free
-//! table, so writers fan out across shards and the cross-shard seqlock
-//! path is exercised too.
+//! table, so writers fan out across shards and publish concurrently.
 
 use birds_core::UpdateStrategy;
 use birds_engine::{Engine, StrategyMode};
@@ -172,11 +174,8 @@ fn pinned_snapshot_survives_concurrent_writer_storm() {
 
 /// Two batch commits with **disjoint multi-shard footprints** publish
 /// concurrently — they hold disjoint shard locks, so nothing else
-/// orders them — and a reader must still never assemble half of
-/// either. The publication seqlock alone cannot express "two
-/// publications in flight" (two opening increments make the counter
-/// even again, 0→1→2, while both are mid-swap), so multi-shard
-/// publications serialize on a dedicated mutex; this test pins that.
+/// orders them — and a reader must still never see half of either:
+/// each commit stores all of its shards' images in one publication.
 ///
 /// Each writer's batch inserts the same value into both views of its
 /// pair, so in every consistent cut the pair's contents are equal; a
@@ -297,17 +296,15 @@ fn held_write_lock_does_not_block_reads() {
     ));
 }
 
-/// The one seq-less visibility caveat (see `snapshot.rs`), pinned: on an
-/// **in-memory** service a multi-view batch that fails on its second
-/// view keeps its first view applied — atomicity is per view — and, with
-/// no WAL to log that prefix under a fresh seq, the mutated shard
-/// republishes at its *unchanged* high-water seq. The write is visible
-/// on the lock-free read path; no commit seq was consumed for it.
+/// A multi-view batch that fails on its second view keeps its first
+/// view applied — atomicity is per view — and on an **in-memory**
+/// service too that prefix takes a fresh commit seq and is published
+/// under it: every state a reader can see is explained by a commit seq.
 #[test]
-fn failed_in_memory_batch_publishes_its_prefix_without_a_seq() {
+fn failed_in_memory_batch_publishes_its_prefix_under_a_fresh_seq() {
     let service = Service::new(disjoint_engine(2));
     let mut session = service.session();
-    // One ordinary commit first, so "unchanged" is not just "zero".
+    // One ordinary commit first, so the prefix's seq is not just 1.
     session.execute("INSERT INTO v1 VALUES (5);").unwrap();
     let before = service.snapshot();
     assert_eq!(before.commit_seq(), 1);
@@ -322,10 +319,117 @@ fn failed_in_memory_batch_publishes_its_prefix_without_a_seq() {
     assert!(service.query("v0").unwrap().contains(&tuple![70]));
     let after = service.snapshot();
     assert!(after.relation("a0").unwrap().contains(&tuple![70]));
-    // … yet no shard's commit seq moved and no seq was consumed.
-    assert_eq!(after.shard_seqs(), before.shard_seqs());
-    assert_eq!(after.commit_seq(), 1);
-    assert_eq!(service.commits(), 1);
+    // … under seq 2, which the batch consumed: both shards it locked
+    // (v0's and zfree's) moved to 2, v1's stayed at 1.
+    assert_eq!(service.commits(), 2);
+    assert_eq!(after.commit_seq(), 2);
+    let mut seqs = after.shard_seqs();
+    seqs.sort_unstable();
+    assert_eq!(seqs, vec![1, 2, 2]);
     // The pinned pre-failure image is untouched, as always.
     assert!(!before.relation("a0").unwrap().contains(&tuple![70]));
+}
+
+/// Commits on disjoint views publish concurrently into the one
+/// snapshot, and none drops another's entry: each publisher copies the
+/// vector of shard images under the write lock. Each writer commits
+/// batches over its own pair of views (two shards), inserting the same
+/// value into both. A reader looping `snapshot()` never sees a shard's
+/// seq or a view's row count go backwards, nor a pair that differs;
+/// each writer finds its commit right after the ack; and at the end
+/// every shard's image holds its last commit. The service has 65
+/// shards, so each publication copies a 65-entry vector: a copy made
+/// outside the write lock, or a pair published one shard at a time,
+/// would race often enough to fail here.
+#[test]
+fn concurrent_disjoint_publications_never_lose_an_entry() {
+    const WRITERS: usize = 4;
+    const COMMITS: usize = 500;
+    let service = Service::new(disjoint_engine(64));
+    let pairs: Vec<(String, String)> = (0..WRITERS)
+        .map(|i| (format!("v{}", 2 * i), format!("v{}", 2 * i + 1)))
+        .collect();
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let reader = {
+        let service = service.clone();
+        let stop = Arc::clone(&stop);
+        let pairs = pairs.clone();
+        std::thread::spawn(move || {
+            let mut last: Option<(Vec<u64>, Vec<usize>)> = None;
+            let mut reads = 0usize;
+            while !stop.load(Ordering::Relaxed) {
+                let snapshot = service.snapshot();
+                let seqs = snapshot.shard_seqs();
+                let mut rows = Vec::new();
+                for (x, y) in &pairs {
+                    let (x, y) = (snapshot.relation(x).unwrap(), snapshot.relation(y).unwrap());
+                    assert!(
+                        x.len() == y.len() && x.iter().all(|t| y.contains(t)),
+                        "torn cut: {} and {} were committed together but differ",
+                        x.name(),
+                        y.name()
+                    );
+                    rows.push(x.len());
+                }
+                if let Some((last_seqs, last_rows)) = &last {
+                    assert!(
+                        seqs.iter().zip(last_seqs).all(|(now, then)| now >= then),
+                        "a shard's seq went backwards: {last_seqs:?} -> {seqs:?}"
+                    );
+                    assert!(
+                        rows.iter().zip(last_rows).all(|(now, then)| now >= then),
+                        "a view lost rows: {last_rows:?} -> {rows:?}"
+                    );
+                }
+                last = Some((seqs, rows));
+                reads += 1;
+            }
+            reads
+        })
+    };
+
+    let writers: Vec<_> = pairs
+        .iter()
+        .cloned()
+        .enumerate()
+        .map(|(i, (x, y))| {
+            let service = service.clone();
+            std::thread::spawn(move || {
+                let mut session = service.session();
+                let mut last_seq = 0;
+                for c in 0..COMMITS {
+                    let value = 1000 * (i + 1) + c;
+                    session.begin().unwrap();
+                    session
+                        .execute(&format!(
+                            "INSERT INTO {x} VALUES ({value}); INSERT INTO {y} VALUES ({value});"
+                        ))
+                        .unwrap();
+                    last_seq = session.commit().unwrap().commit_seq;
+                    // Read your own write: base {1, 2} plus c + 1 inserts.
+                    let snapshot = service.snapshot();
+                    for view in [&x, &y] {
+                        let rows = snapshot.relation(view).unwrap().len();
+                        assert_eq!(rows, 3 + c, "{view} lost its commit {last_seq}");
+                    }
+                }
+                last_seq
+            })
+        })
+        .collect();
+    let last_seqs: Vec<u64> = writers.into_iter().map(|w| w.join().unwrap()).collect();
+    stop.store(true, Ordering::Relaxed);
+    assert!(reader.join().unwrap() > 0);
+
+    let fresh = service.snapshot();
+    assert_eq!(fresh.commit_seq(), (WRITERS * COMMITS) as u64);
+    let seqs = fresh.shard_seqs();
+    for ((x, y), last_seq) in pairs.iter().zip(&last_seqs) {
+        assert_eq!(fresh.relation(x).unwrap().len(), 2 + COMMITS);
+        assert_eq!(fresh.relation(y).unwrap().len(), 2 + COMMITS);
+        // Both of the pair's shards are tagged with its last commit.
+        let tagged = seqs.iter().filter(|&seq| seq == last_seq).count();
+        assert_eq!(tagged, 2, "{x}/{y}'s last commit {last_seq}: {seqs:?}");
+    }
 }

@@ -22,7 +22,7 @@
 //! **left-right** mode: two shadow buffers alternate as the published
 //! image, kept in sync by replaying a log of the relation's effective
 //! mutations. Each publication refreshes the buffer *not* published
-//! last time — by then the snapshot cell has dropped its reference, so
+//! last time — by then the published snapshot has dropped it, so
 //! the replay mutates in place and costs `O(delta)`, not `O(n)`. Only a
 //! reader still *holding* that older version forces a one-off clone:
 //! writers pay proportional to what changed, and the full-copy cost
