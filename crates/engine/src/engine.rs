@@ -671,7 +671,6 @@ impl Engine {
         // paper's PostgreSQL setup has its B-trees before measuring). The
         // warm-up also compiles the view's plans, delta-first, and real
         // updates replay them.
-        let t = std::time::Instant::now();
         let program = incremental.as_ref().unwrap_or(&strategy.putdelta);
         let mut ctx = EvalContext::with_plan_cache(&mut self.db, plans);
         if let Some(sink) = self.read_trace.as_deref() {
@@ -688,9 +687,6 @@ impl Engine {
             ));
         }
         let _ = evaluate_program(program, &mut ctx)?;
-        if std::env::var_os("BIRDS_ENGINE_DEBUG").is_some() {
-            eprintln!("[engine] warm-up ({mode:?}): {:?}", t.elapsed());
-        }
         Ok(incremental)
     }
 
@@ -750,12 +746,8 @@ impl Engine {
             .db
             .relation(&table)
             .ok_or_else(|| EngineError::NotAView(table.clone()))?;
-        let t0 = std::time::Instant::now();
         let delta = derive_view_delta(view_rel, &rv.strategy.view, statements)?;
-        if std::env::var_os("BIRDS_ENGINE_DEBUG").is_some() {
-            eprintln!("[engine] derive_view_delta: {:?}", t0.elapsed());
-        }
-        self.apply_view_delta(&table, delta, 0)
+        self.apply_atomically(&table, delta)
     }
 
     /// Derive the net (normalized, effective) view delta of a statement
@@ -812,16 +804,34 @@ impl Engine {
             .relation(view_name)
             .ok_or_else(|| EngineError::NotAView(view_name.to_owned()))?;
         delta.normalize_against(view_rel);
-        self.apply_view_delta(view_name, delta, 0)
+        self.apply_atomically(view_name, delta)
+    }
+
+    /// Apply a top-level view delta, cascades included, as one atomic
+    /// step: every effective change is recorded as it lands (the view,
+    /// its base tables, each sub-view and theirs), and on any error the
+    /// record is replayed backwards, so a cascade rejected deep down
+    /// leaves no relation changed.
+    fn apply_atomically(&mut self, view_name: &str, delta: Delta) -> EngineResult<ExecutionStats> {
+        let mut undo = Vec::new();
+        let applied = self.apply_view_delta(view_name, delta, 0, &mut undo);
+        if applied.is_err() {
+            for (name, change) in undo.iter().rev() {
+                mutate_relation(&mut self.db, name, change, true)?;
+            }
+        }
+        applied
     }
 
     /// Apply an (effective, normalized) view delta to a registered view:
-    /// the trigger pipeline of §6.1.
+    /// the trigger pipeline of §6.1. Every change that reaches the
+    /// database is pushed to `undo` (see [`Engine::apply_atomically`]).
     fn apply_view_delta(
         &mut self,
         view_name: &str,
         delta: Delta,
         depth: usize,
+        undo: &mut Vec<(String, Delta)>,
     ) -> EngineResult<ExecutionStats> {
         if depth > 8 {
             return Err(EngineError::Eval(
@@ -843,9 +853,6 @@ impl Engine {
             .get_mut(view_name)
             .ok_or_else(|| EngineError::NotAView(view_name.to_owned()))?;
         let mode = rv.mode;
-
-        let debug = std::env::var_os("BIRDS_ENGINE_DEBUG").is_some();
-        let t_eval = std::time::Instant::now();
         // The `Δ⁺V` overlay, shared by ∂put and the constraint checks.
         let insertions = Relation::with_tuples(
             PredRef::ins(view_name).flat_name(),
@@ -872,7 +879,8 @@ impl Engine {
                 collect_delta_set(&rv.strategy, out.relations)
             }
             StrategyMode::Original => {
-                mutate_view_relation(&mut self.db, view_name, &delta, false)?;
+                mutate_relation(&mut self.db, view_name, &delta, false)?;
+                undo.push((view_name.to_owned(), delta.clone()));
                 let mut ctx = EvalContext::with_plan_cache(&mut self.db, &mut rv.plans);
                 if let Some(sink) = self.read_trace.as_deref() {
                     ctx.trace_reads_into(sink);
@@ -882,96 +890,72 @@ impl Engine {
             }
         };
 
-        if debug {
-            eprintln!(
-                "[engine] delta computation ({mode:?}): {:?}",
-                t_eval.elapsed()
-            );
-        }
-
         // For the incremental path, the constraints are checked against
         // the updated view, so mutate now.
-        let t_mut = std::time::Instant::now();
         if mode == StrategyMode::Incremental {
-            mutate_view_relation(&mut self.db, view_name, &delta, false)?;
+            mutate_relation(&mut self.db, view_name, &delta, false)?;
+            undo.push((view_name.to_owned(), delta));
         }
 
         // Constraint check over (S, V′).
-        let t_check = std::time::Instant::now();
-        if let Err(e) = check_constraints(
+        check_constraints(
             &mut self.db,
             &mut rv.plans,
             self.read_trace.as_deref(),
             view_name,
             &rv.checks,
             &insertions,
-        ) {
-            mutate_view_relation(&mut self.db, view_name, &delta, true)?; // rollback
-            return Err(e);
-        }
-        if debug {
-            eprintln!(
-                "[engine] mutate: {:?}  constraints: {:?}",
-                t_check.duration_since(t_mut),
-                t_check.elapsed()
-            );
-        }
-
+        )?;
         if !delta_set.is_non_contradictory() {
-            mutate_view_relation(&mut self.db, view_name, &delta, true)?;
             return Err(EngineError::ContradictoryDelta(format!(
                 "view update on '{view_name}'"
             )));
         }
         stats.source_delta_size = delta_set.len();
 
-        // Apply ΔS: base tables directly; registered views cascade.
+        // Apply ΔS, each relation's delta normalized against its current
+        // state so the undo record is exact: base tables directly,
+        // registered views by cascading.
         let mut cascades: Vec<(String, Delta)> = Vec::new();
-        let mut base: DeltaSet = DeltaSet::new();
         for (rel_name, d) in delta_set.iter() {
             if d.is_empty() {
                 continue;
             }
+            let rel = self
+                .db
+                .relation(rel_name)
+                .ok_or_else(|| EngineError::Store(format!("unknown relation '{rel_name}'")))?;
+            let mut eff = d.clone();
+            eff.normalize_against(rel);
             if self.views.contains_key(rel_name) {
-                // Normalize against the current (old) state of that view.
-                let rel = self
-                    .db
-                    .relation(rel_name)
-                    .ok_or_else(|| EngineError::NotAView(rel_name.to_owned()))?;
-                let mut eff = d.clone();
-                eff.insertions.retain(|t| !rel.contains(t));
-                eff.deletions.retain(|t| rel.contains(t));
                 cascades.push((rel_name.to_owned(), eff));
             } else {
-                let entry = base.entry(rel_name);
-                entry.insertions.extend(d.insertions.iter().cloned());
-                entry.deletions.extend(d.deletions.iter().cloned());
+                // Recorded even on failure: undoing a normalized delta is
+                // exact when applying it stopped part-way.
+                let applied = mutate_relation(&mut self.db, rel_name, &eff, false);
+                undo.push((rel_name.to_owned(), eff));
+                applied?;
             }
-        }
-        if let Err(e) = base.apply_to(&mut self.db) {
-            mutate_view_relation(&mut self.db, view_name, &delta, true)?;
-            return Err(EngineError::Store(e.to_string()));
         }
         for (sub_view, sub_delta) in cascades {
             stats.cascades += 1;
-            let sub_stats = self.apply_view_delta(&sub_view, sub_delta, depth + 1)?;
+            let sub_stats = self.apply_view_delta(&sub_view, sub_delta, depth + 1, undo)?;
             stats.cascades += sub_stats.cascades;
         }
         Ok(stats)
     }
 }
 
-/// Apply (or roll back) an effective view delta on the materialized
-/// view relation.
-fn mutate_view_relation(
+/// Apply (or roll back) an effective delta on a stored relation.
+fn mutate_relation(
     db: &mut Database,
-    view_name: &str,
+    name: &str,
     delta: &Delta,
     rollback: bool,
 ) -> EngineResult<()> {
     let rel = db
-        .relation_mut(view_name)
-        .ok_or_else(|| EngineError::NotAView(view_name.to_owned()))?;
+        .relation_mut(name)
+        .ok_or_else(|| EngineError::NotAView(name.to_owned()))?;
     let (ins, del) = if rollback {
         (&delta.deletions, &delta.insertions)
     } else {
@@ -1096,7 +1080,10 @@ pub fn strategy_touches(strategy: &UpdateStrategy, get: &Program) -> BTreeSet<St
     touched
 }
 
-/// Collect the evaluator's delta-predicate outputs into a `DeltaSet`.
+/// Collect the evaluator's delta-predicate outputs into a `DeltaSet`:
+/// ΔS keeps only the deltas of source relations (Appendix C, Step 4).
+/// An incrementalized program also derives stage deltas of its
+/// intermediate predicates (Figure 7), which name no stored relation.
 fn collect_delta_set(
     strategy: &UpdateStrategy,
     relations: BTreeMap<PredRef, Relation>,
@@ -1106,6 +1093,9 @@ fn collect_delta_set(
         ds.entry(&schema.name); // ensure an entry per source
     }
     for (pred, rel) in relations {
+        if strategy.source_schema.get(&pred.name).is_none() {
+            continue;
+        }
         match pred.kind {
             DeltaKind::Insert => {
                 let entry = ds.entry(&pred.name);
@@ -1339,6 +1329,70 @@ mod tests {
         // w itself reflects both updates.
         let w = engine.relation("w").unwrap();
         assert!(w.contains(&tuple![9]) && !w.contains(&tuple![8]));
+    }
+
+    /// A cascade rejected by the sub-view's constraint undoes the
+    /// parent's writes too: `w = σ_{a>2}(v)` over `v = r1 ∪ r2`, where
+    /// `v` (registered without validation) rejects values above 100.
+    #[test]
+    fn rejected_cascade_leaves_every_relation_unchanged() {
+        for mode in [StrategyMode::Original, StrategyMode::Incremental] {
+            let mut db = Database::new();
+            db.add_relation(Relation::with_tuples("r1", 1, vec![tuple![1], tuple![3]]).unwrap())
+                .unwrap();
+            db.add_relation(Relation::with_tuples("r2", 1, vec![tuple![8]]).unwrap())
+                .unwrap();
+            let mut engine = Engine::new(db);
+            let v_strategy = UpdateStrategy::parse(
+                DatabaseSchema::new()
+                    .with(Schema::new("r1", vec![("a", SortKind::Int)]))
+                    .with(Schema::new("r2", vec![("a", SortKind::Int)])),
+                Schema::new("v", vec![("a", SortKind::Int)]),
+                "
+                false :- v(X), X > 100.
+                -r1(X) :- r1(X), not v(X).
+                -r2(X) :- r2(X), not v(X).
+                +r1(X) :- v(X), not r1(X), not r2(X).
+                ",
+                None,
+            )
+            .unwrap();
+            let v_get = parse_program("v(X) :- r1(X). v(X) :- r2(X).").unwrap();
+            engine
+                .register_view_unchecked(v_strategy, v_get, mode)
+                .unwrap();
+            let w_strategy = UpdateStrategy::parse(
+                DatabaseSchema::new().with(Schema::new("v", vec![("a", SortKind::Int)])),
+                Schema::new("w", vec![("a", SortKind::Int)]),
+                "
+                false :- w(X), not X > 2.
+                +v(X) :- w(X), not v(X).
+                mv(X) :- v(X), X > 2.
+                -v(X) :- mv(X), not w(X).
+                ",
+                None,
+            )
+            .unwrap();
+            engine.register_view(w_strategy, mode).unwrap();
+            let contents = |engine: &Engine| {
+                ["r1", "r2", "v", "w"].map(|name| {
+                    let mut tuples: Vec<Tuple> =
+                        engine.relation(name).unwrap().iter().cloned().collect();
+                    tuples.sort();
+                    tuples
+                })
+            };
+            let before = contents(&engine);
+            let err = engine.execute("INSERT INTO w VALUES (500);").unwrap_err();
+            assert!(
+                matches!(&err, EngineError::ConstraintViolation { view, .. } if view == "v"),
+                "{mode:?}: {err}"
+            );
+            assert_eq!(contents(&engine), before, "{mode:?}");
+            // The engine still takes writes that pass every constraint.
+            engine.execute("INSERT INTO w VALUES (50);").unwrap();
+            assert!(engine.relation("r1").unwrap().contains(&tuple![50]));
+        }
     }
 
     #[test]

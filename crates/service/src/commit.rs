@@ -55,18 +55,13 @@
 
 use crate::error::{ServiceError, ServiceResult};
 use crate::group_commit::{PendingTx, TxResult};
-use crate::locks::LockId;
-use crate::service::{Service, Topology};
-use birds_engine::{Engine, ExecutionStats};
+use crate::service::Service;
+use crate::topology::{ShardGuards, Topology};
+use birds_engine::ExecutionStats;
 use birds_store::Delta;
 use birds_wal::{FsyncPolicy, SegmentWriter, WalRecord};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, RwLockWriteGuard};
-
-/// The write-locked shards an epoch runs under, in ascending [`LockId`]
-/// order. Every slot is live (`Some`): callers re-resolve against a
-/// fresh topology when they find a retired one.
-pub(crate) type ShardGuards<'a> = Vec<(LockId, RwLockWriteGuard<'a, Option<Engine>>)>;
+use std::sync::{Arc, Mutex};
 
 /// The durability hookup an epoch writes through: the lowest locked
 /// shard's segment writer plus the service's fsync policy. Every
@@ -109,8 +104,10 @@ impl EpochWal<'_> {
 
 impl Service {
     /// Run one epoch under `guards` (see the module docs for the steps).
-    /// Every member's result slot is filled on return; the guards are
-    /// released before the post-commit hook runs.
+    /// Every slot is live (`Some`): callers re-resolve against a fresh
+    /// topology when they find a retired one. Every member's result
+    /// slot is filled on return; the guards are released before the
+    /// post-commit hook runs.
     pub(crate) fn commit_epoch(
         &self,
         topo: &Topology,
@@ -308,7 +305,7 @@ mod tests {
             })
             .collect();
         let deadline = Instant::now() + Duration::from_secs(10);
-        while service.topology().committer("w").len() < values.len() {
+        while service.topology().queue_len("w") < values.len() {
             assert!(Instant::now() < deadline, "the members never all queued");
             std::thread::sleep(Duration::from_millis(1));
         }

@@ -97,7 +97,7 @@ pub enum ServiceError {
     /// request (e.g. a group-commit epoch leader). The failing request
     /// gets this typed error instead of propagating the panic to the
     /// worker serving it; shard data itself is recovered (see
-    /// `locks.rs`).
+    /// `topology.rs`).
     Poisoned(String),
     /// The durability subsystem failed: recovery could not read or
     /// replay the data directory, or a WAL append/sync failed at commit

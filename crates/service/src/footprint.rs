@@ -21,7 +21,7 @@
 //! current map once and routes against a consistent generation.
 
 use crate::error::{ServiceError, ServiceResult};
-use crate::locks::LockId;
+use crate::topology::LockId;
 use birds_engine::{Engine, EngineError};
 use std::collections::HashMap;
 
@@ -37,7 +37,7 @@ impl ShardMap {
     }
 
     /// The lock set of a commit touching `views`: the owning shard of
-    /// each name, deduplicated (sorted by `LockManager::write_set`).
+    /// each name (sorted and deduplicated by `Topology::write_set`).
     /// Unknown names are a typed error — the engine would reject them as
     /// `NotAView` anyway, so the commit fails before taking any lock.
     pub fn lock_set<'a>(

@@ -8,14 +8,16 @@
 //! the database at a time. This crate adds the machinery a production
 //! deployment needs around that core:
 //!
-//! * [`footprint`] / [`locks`] — **footprint-sharded concurrency
-//!   control**. The engine is split along view dependency footprints
-//!   into independently locked components; a commit write-locks only the
-//!   shards its target views live in, always in global [`LockId`] order
-//!   (deadlock-free by construction), so commits on disjoint views run
-//!   in parallel. A global commit sequence still numbers every
-//!   transaction: the concurrent history remains equivalent to its
-//!   serial replay in commit order.
+//! * [`footprint`] / `topology` *(internal)* — **footprint-sharded
+//!   concurrency control**. The engine is split along view dependency
+//!   footprints into shards, each one value: its engine component
+//!   behind a reader-writer lock, its group-commit queue and its WAL
+//!   writer. A commit write-locks only the shards its target views live
+//!   in, always in global [`LockId`] order (deadlock-free by
+//!   construction), so commits on disjoint views run in parallel. A
+//!   global commit sequence still numbers every transaction: the
+//!   concurrent history remains equivalent to its serial replay in
+//!   commit order.
 //! * `commit` *(internal)* — **the one commit pipeline**. Autocommit
 //!   epochs, session batches and view registrations all go through a
 //!   single derive → apply → log → sync → publish → acknowledge bracket
@@ -41,8 +43,8 @@
 //!   set; [`Service::snapshot`] pins a consistent all-shard image,
 //!   [`Service::query`] reads one relation, both without locks.
 //! * [`Session`] — per-client state with two modes. In **autocommit**
-//!   every executed script is its own transaction (routed through the
-//!   shard's group committer). After `begin`, a **batch** buffers
+//!   every executed script is its own transaction (queued in its
+//!   shard's group-commit queue). After `begin`, a **batch** buffers
 //!   statements locally until `commit` coalesces them — per view — into
 //!   one *net* delta (Algorithm 2 over the whole buffer) and applies
 //!   each in a **single** incremental pass.
@@ -89,8 +91,6 @@
 //! engine's mutation paths roll back on error; queue/result mutexes that
 //! a panic *can* leave inconsistent surface [`ServiceError::Poisoned`]
 //! instead of panicking the worker thread serving the request.
-//!
-//! [`LockId`]: locks::LockId
 
 mod commit;
 mod conn;
@@ -98,21 +98,21 @@ pub mod error;
 pub mod footprint;
 pub mod group_commit;
 pub mod json;
-pub mod locks;
 pub mod protocol;
 mod reactor;
 pub mod server;
 pub mod service;
 pub mod snapshot;
 mod sys;
+mod topology;
 
 pub use error::{ServiceError, ServiceResult};
 pub use footprint::ShardMap;
 pub use json::Json;
-pub use locks::{LockId, LockManager};
 pub use protocol::{dispatch, Envelope, Request, StrategySpec};
 pub use server::{LocalClient, Server, ServerConfig};
 pub use service::{
     CommitOutcome, DurabilityConfig, ExecOutcome, RelationStats, Service, ServiceConfig, Session,
 };
 pub use snapshot::{ServiceSnapshot, ShardSnapshot};
+pub use topology::LockId;

@@ -31,8 +31,8 @@
 //!   pipelined in one write is thereby a handful of worker hand-offs,
 //!   not one round trip per line.
 //! * **Stateless lane** — `ping`/`query`/`stats`/`checkpoint` and
-//!   autocommit `execute` (each its own transaction through the group
-//!   committer, via a scratch session). These fan out to the worker
+//!   autocommit `execute` (each its own transaction through its shard's
+//!   group-commit queue, via a scratch session). These fan out to the worker
 //!   pool immediately and may complete **in any order**, across shards
 //!   and across each other. Responses echo the request `id`, so
 //!   clients correlate.

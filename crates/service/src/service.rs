@@ -4,46 +4,45 @@
 //! and deregistered on a live service.
 //!
 //! At construction the engine is split along **view dependency
-//! footprints** into independently locked components
-//! ([`crate::footprint`]): each shard owns every relation the views
-//! inside it can touch (reads, writes, cascades), so a commit needs only
-//! its own shard's write lock and commits on disjoint views proceed in
-//! parallel. Lock sets are always acquired in global [`LockId`] order
-//! ([`crate::locks`]), which makes overlapping commits deadlock-free by
-//! construction. What remains global is the **commit sequence** — every
-//! transaction still gets a unique, dense serial number, assigned while
-//! its footprint is locked, so the concurrent history stays equivalent
-//! to the serial replay in commit order.
+//! footprints** into independently locked shards ([`crate::footprint`]):
+//! each shard owns every relation the views inside it can touch (reads,
+//! writes, cascades), so a commit needs only its own shard's write lock
+//! and commits on disjoint views proceed in parallel. Lock sets are
+//! always acquired in global [`LockId`] order (`crate::topology`), which
+//! makes overlapping commits deadlock-free by construction. What
+//! remains global is the **commit sequence** — every transaction still
+//! gets a unique, dense serial number, assigned while its footprint is
+//! locked, so the concurrent history stays equivalent to the serial
+//! replay in commit order.
 //!
 //! ## Live topology
 //!
-//! The sharded state — lock slots, routing table, group-commit queues,
-//! WAL segment writers — lives in one `Topology` value behind an `Arc`
-//! that every write loads exactly once (`Service::topology`); reads
-//! load only the published snapshot ([`crate::snapshot`]). Dynamic
-//! registration ([`Service::register_view`] /
-//! [`Service::unregister_view`]) builds a *successor* topology and
-//! swaps the `Arc`: the quiesce barrier is the write locks of **only
-//! the shards the new view's footprint touches** (computed by
-//! [`birds_engine::strategy_touches`] before any lock is taken);
-//! disjoint shards keep committing throughout. The affected
-//! shards' engines are taken out of their slots (which become `None` —
-//! permanently, for a retired generation), merged
-//! ([`Engine::merge`]), mutated, re-split, and installed under **fresh**
-//! slot `Arc`s, so a stale thread that raced the swap can never touch a
-//! new engine through an old lock set: it finds `None`, reloads the
-//! topology, and retries. Surviving shards carry their slot and
-//! committer `Arc`s across generations unchanged — `LockId` *i* names
-//! the same lock in every generation, which keeps ascending-order
-//! acquisition deadlock-free even when old- and new-generation threads
-//! interleave.
+//! The sharded state — one `Arc<Shard>` per shard (engine slot,
+//! group-commit queue, WAL segment writer) plus the routing table —
+//! lives in one `Topology` value behind an `Arc` that every write loads
+//! exactly once (`Service::topology`); reads load only the published
+//! snapshot ([`crate::snapshot`]). Dynamic registration
+//! ([`Service::register_view`] / [`Service::unregister_view`]) builds a
+//! *successor* topology and swaps the `Arc`: the quiesce barrier is the
+//! write locks of **only the shards the new view's footprint touches**
+//! (computed by [`birds_engine::strategy_touches`] before any lock is
+//! taken); disjoint shards keep committing throughout. The affected
+//! shards' engines are taken out of their slots (which stay `None` for
+//! good), merged ([`Engine::merge`]), mutated, re-split, and installed
+//! as **fresh** shards, so a stale thread that raced the swap can never
+//! reach a new engine through an old lock: it finds `None`, takes its
+//! queued transaction back, reloads the topology and resubmits.
+//! Surviving shards keep their `Arc` across generations — `LockId` *i*
+//! names the same shard in every generation that keeps it, which keeps
+//! ascending-order acquisition deadlock-free even when old- and
+//! new-generation threads interleave.
 //!
 //! Lock order across the subsystem: checkpoint lock → registration
-//! lock → shard locks (ascending) → WAL writer mutex; and shard locks →
-//! the published snapshot's write lock, never the reverse.
-//! Registrations serialize on the registration lock; checkpoints freeze
-//! the registration set for their whole duration by taking that lock
-//! too.
+//! lock → shard locks (ascending) → queue or WAL writer mutex; and shard
+//! locks → the published snapshot's write lock → the topology pointer's
+//! write lock, never the reverse. Registrations serialize on the
+//! registration lock; checkpoints freeze the registration set for their
+//! whole duration by taking that lock too.
 //!
 //! ## The commit pipeline
 //!
@@ -73,8 +72,9 @@
 //!   on the lock-free read path, and a reader never sees a commit's
 //!   effects before that commit's WAL record was appended. A
 //!   registration publishes its successor snapshot (replacement shards
-//!   tagged with the registration's seq, and the successor route)
-//!   *before* the topology swap, in one store.
+//!   tagged with the registration's seq, and the successor route) in
+//!   one store and swaps the topology before it releases the
+//!   publication lock, so a view a reader can see is already writable.
 //! * **Durability coupling**: on a durable service, no result slot is
 //!   filled until the epoch-end fsync ran, and a registration is
 //!   installed only after its [`WalRecord::Register`] reached the log —
@@ -93,7 +93,7 @@
 //! Each client holds a [`Session`] in one of two modes:
 //!
 //! * **autocommit** (the default): every `execute` call is its own
-//!   transaction, queued in the target shard's group committer
+//!   transaction, queued in the target shard's group-commit queue
 //!   ([`crate::group_commit`]) — concurrent autocommit transactions on
 //!   the same shard become members of one epoch and coalesce into one
 //!   net delta per view;
@@ -102,12 +102,12 @@
 //!   exactly the shards its views live in: one *net* delta per view,
 //!   each applied in a single incremental pass.
 
-use crate::commit::{EpochWal, ShardGuards};
+use crate::commit::EpochWal;
 use crate::error::{ServiceError, ServiceResult};
-use crate::footprint::{partition, ShardMap};
-use crate::group_commit::{GroupCommitter, PendingTx, TxResult};
-use crate::locks::{LockId, LockManager};
+use crate::footprint::partition;
+use crate::group_commit::{PendingTx, TxResult};
 use crate::snapshot::{Published, ServiceSnapshot, ShardSnapshot};
+use crate::topology::{LockId, Shard, ShardGuards, Topology};
 use birds_core::UpdateStrategy;
 use birds_engine::{
     strategy_touches, Engine, EngineError, ExecutionStats, StrategyMode, ViewDefinition,
@@ -120,9 +120,9 @@ use birds_wal::{
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
-/// Service tuning knobs. It has none today: the group committer's
+/// Service tuning knobs. It has none today: a group-commit
 /// epoch is the shard-lock tenure of whichever submitter leads it, so
 /// there is nothing to tune. The type stays so [`Service::open`] keeps
 /// its signature.
@@ -176,9 +176,8 @@ pub struct RelationStats {
 }
 
 /// The durable half of a running service: the data directory plus
-/// checkpoint bookkeeping. The per-shard segment writers live in the
-/// `Topology` (they are re-seated when a live re-shard grows the
-/// shard set).
+/// checkpoint bookkeeping. The segment writers live in their shards
+/// (`crate::topology`).
 struct WalState {
     fsync: FsyncPolicy,
     data_dir: PathBuf,
@@ -194,51 +193,14 @@ struct WalState {
     heal_failures: AtomicU64,
 }
 
-/// One generation of the sharded state. Every write loads the current
-/// generation exactly once (`Service::topology`) and works against a
-/// consistent quadruple; a live re-shard builds a successor and swaps
-/// the `Arc` while holding the affected shards' write locks.
-///
-/// Slots, committers and writers are indexed by [`LockId`]; a retired
-/// slot (its engine merged away by a re-shard that didn't reuse the
-/// index) holds `None` forever and is never routed to.
-pub(crate) struct Topology {
-    /// One engine component (and one reader-writer lock) per footprint
-    /// shard; slot order is [`LockId`] order. `None` marks a retired
-    /// slot — a stale thread that finds it reloads the topology.
-    shards: LockManager<Option<Engine>>,
-    /// Relation name → owning shard (shared with the published
-    /// [`ServiceSnapshot`] of the same generation).
-    route: Arc<ShardMap>,
-    /// One group-commit queue per shard. A retired shard's committer is
-    /// closed by the re-shard that retired it; its queued transactions
-    /// migrate to the successor's committers.
-    committers: Vec<Arc<GroupCommitter>>,
-    /// One WAL segment writer per shard (empty on in-memory services).
-    /// Shared across generations so a surviving shard's log continues
-    /// seamlessly through a re-shard.
-    writers: Vec<Arc<Mutex<SegmentWriter>>>,
-}
-
-impl Topology {
-    /// Among the held `guards`, the slot of the shard owning `relation`.
-    pub(crate) fn held_slot<'s>(
-        &self,
-        guards: &'s mut ShardGuards<'_>,
-        relation: &str,
-    ) -> &'s mut Option<Engine> {
-        let shard = self.route.shard_of(relation);
-        guards
-            .iter_mut()
-            .find_map(|(id, slot)| (Some(*id) == shard).then_some(&mut **slot))
-            .expect("the held lock set covers the relation's shard")
-    }
-
-    /// The group committer of the shard owning `relation`.
-    #[cfg(test)]
-    pub(crate) fn committer(&self, relation: &str) -> &GroupCommitter {
-        let shard = self.route.shard_of(relation).expect("a routed relation");
-        &self.committers[shard.index()]
+impl WalState {
+    /// Open (or continue) the segment series of shard `index`.
+    fn open_writer(&self, index: usize) -> ServiceResult<Arc<Mutex<SegmentWriter>>> {
+        let writer =
+            SegmentWriter::open(&self.data_dir, index, self.segment_bytes).map_err(|e| {
+                ServiceError::Durability(format!("opening wal segment series {index}: {e}"))
+            })?;
+        Ok(Arc::new(Mutex::new(writer)))
     }
 }
 
@@ -502,55 +464,29 @@ impl Service {
             start_seq = recovery.max_seq;
         }
         let (components, route) = partition(engine);
-        let shard_count = components.len();
-        let (wal, writers) = match durability {
-            None => (None, Vec::new()),
-            Some(d) => {
-                let writers = (0..shard_count)
-                    .map(|shard| {
-                        SegmentWriter::open(&d.data_dir, shard, d.segment_bytes)
-                            .map(|writer| Arc::new(Mutex::new(writer)))
-                    })
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(|e| ServiceError::Durability(e.to_string()))?;
-                (
-                    Some(WalState {
-                        fsync: d.fsync,
-                        data_dir: d.data_dir,
-                        checkpoint_every: d.checkpoint_every,
-                        segment_bytes: d.segment_bytes,
-                        commits_since_checkpoint: AtomicU64::new(0),
-                        checkpoint_lock: Mutex::new(()),
-                        heal_failures: AtomicU64::new(0),
-                    }),
-                    writers,
-                )
-            }
-        };
-        let committers = (0..shard_count)
-            .map(|_| Arc::new(GroupCommitter::default()))
-            .collect();
-        let shards = LockManager::new(components.into_iter().map(Some).collect());
+        let wal = durability.map(|d| WalState {
+            fsync: d.fsync,
+            data_dir: d.data_dir,
+            checkpoint_every: d.checkpoint_every,
+            segment_bytes: d.segment_bytes,
+            commits_since_checkpoint: AtomicU64::new(0),
+            checkpoint_lock: Mutex::new(()),
+            heal_failures: AtomicU64::new(0),
+        });
+        let mut images = Vec::with_capacity(components.len());
+        let mut shards = Vec::with_capacity(components.len());
+        for (index, mut component) in components.into_iter().enumerate() {
+            // Initial publication: every shard's image as of the
+            // recovered (or zero) commit seq.
+            images.push(Arc::new(ShardSnapshot::capture(&mut component, start_seq)));
+            let writer = wal.as_ref().map(|wal| wal.open_writer(index)).transpose()?;
+            shards.push(Shard::new(component, writer));
+        }
         let route = Arc::new(route);
-        // Initial snapshot publication: every shard's image as of the
-        // recovered (or zero) commit seq.
-        let images = shards
-            .ids()
-            .map(|id| {
-                let mut slot = shards.write(id);
-                let engine = slot.as_mut().expect("fresh slots are live");
-                Arc::new(ShardSnapshot::capture(engine, start_seq))
-            })
-            .collect();
         let published = Published::new(images, Arc::clone(&route));
         Ok(Service {
             inner: Arc::new(ServiceInner {
-                topology: RwLock::new(Arc::new(Topology {
-                    shards,
-                    route,
-                    committers,
-                    writers,
-                })),
+                topology: RwLock::new(Arc::new(Topology { shards, route })),
                 registration_lock: Mutex::new(()),
                 commit_seq: AtomicU64::new(start_seq),
                 published,
@@ -560,14 +496,18 @@ impl Service {
     }
 
     /// Load the current topology generation (one `Arc` clone under a
-    /// pointer-only lock). Every request works against the generation
-    /// it loaded; a re-shard mid-request is detected by the `None` slot
-    /// of a retired shard, upon which the request reloads and retries.
+    /// pointer-only lock, released at once). Every request works
+    /// against the generation it loaded; a re-shard mid-request is
+    /// detected by the `None` slot of a retired shard, upon which the
+    /// request reloads and retries.
     pub(crate) fn topology(&self) -> Arc<Topology> {
-        match self.inner.topology.read() {
-            Ok(topology) => Arc::clone(&topology),
-            Err(poisoned) => Arc::clone(&poisoned.into_inner()),
-        }
+        Arc::clone(
+            &self
+                .inner
+                .topology
+                .read()
+                .unwrap_or_else(PoisonError::into_inner),
+        )
     }
 
     /// Open a new session in autocommit mode.
@@ -683,7 +623,7 @@ impl Service {
     /// while commits on *other* shards proceed.
     #[doc(hidden)]
     pub fn debug_write_lock_shard(&self, relation: &str) -> Option<impl Drop> {
-        /// The lock is held by a helper thread, which owns both the slot
+        /// The lock is held by a helper thread, which owns both the shard
         /// `Arc` and the guard borrowing it. Dropping this handle hangs
         /// up on that thread, which then releases the lock; the drop
         /// returns once it has.
@@ -697,12 +637,11 @@ impl Service {
             }
         }
         let topo = self.topology();
-        let shard = topo.route.shard_of(relation)?;
-        let slot = topo.shards.slot(shard);
+        let shard = Arc::clone(&topo.shards[topo.route.shard_of(relation)?.index()]);
         let (locked, is_locked) = mpsc::channel();
         let (hang_up, hung_up) = mpsc::channel::<()>();
         let holder = std::thread::spawn(move || {
-            let _guard = slot.write().unwrap_or_else(|e| e.into_inner());
+            let _guard = shard.write();
             let _ = locked.send(());
             let _ = hung_up.recv();
         });
@@ -718,9 +657,8 @@ impl Service {
     #[doc(hidden)]
     pub fn debug_take_read_trace(&self) -> BTreeSet<String> {
         let topo = self.topology();
-        for id in topo.shards.ids() {
-            let mut slot = topo.shards.write(id);
-            if let Some(engine) = slot.as_mut() {
+        for shard in &topo.shards {
+            if let Some(engine) = shard.write().as_mut() {
                 return engine.take_read_trace();
             }
         }
@@ -738,7 +676,7 @@ impl Service {
                 (*id, Arc::new(ShardSnapshot::capture(engine, seq)))
             })
             .collect();
-        self.inner.published.publish(images, None);
+        let _published = self.inner.published.publish(images, None);
     }
 
     /// Number of committed transactions (autocommit scripts, batch
@@ -762,25 +700,19 @@ impl Service {
     /// into one). Fails (returning `self`) while other handles —
     /// sessions included — are still alive.
     pub fn into_engine(self) -> Result<Engine, Service> {
-        match Arc::try_unwrap(self.inner) {
-            Ok(inner) => {
-                let topology = match inner.topology.into_inner() {
-                    Ok(topology) => topology,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                let topology = Arc::try_unwrap(topology)
-                    .unwrap_or_else(|_| panic!("topology still shared during teardown"));
-                let mut merged = Engine::new(Database::new());
-                // Retired slots hold `None` and contribute nothing.
-                for component in topology.shards.into_inner().into_iter().flatten() {
-                    merged
-                        .absorb(component)
-                        .expect("footprint shards are disjoint by construction");
-                }
-                Ok(merged)
-            }
-            Err(inner) => Err(Service { inner }),
+        if Arc::strong_count(&self.inner) > 1 {
+            return Err(self);
         }
+        let mut merged = Engine::new(Database::new());
+        // Retired slots hold `None` and contribute nothing.
+        for shard in &self.topology().shards {
+            if let Some(component) = shard.write().take() {
+                merged
+                    .absorb(component)
+                    .expect("footprint shards are disjoint by construction");
+            }
+        }
+        Ok(merged)
     }
 
     pub(crate) fn next_commit_seq(&self) -> u64 {
@@ -791,9 +723,13 @@ impl Service {
         self.inner.commit_seq.fetch_add(1, Ordering::SeqCst) + 1
     }
 
-    /// Autocommit one transaction through the target shard's group
-    /// committer: enqueue, then contend for epoch leadership until the
-    /// result slot fills.
+    /// Autocommit one transaction through its shard's group-commit
+    /// queue: enqueue, win the shard's write lock, and lead whatever is
+    /// queued then — an empty queue means another leader drained this
+    /// transaction and filled its result before releasing the lock.
+    /// A shard retired by a live re-shard leaves its slot `None`: the
+    /// transaction is taken back (unless a leader already drained it)
+    /// and resubmitted against the current topology.
     pub(crate) fn submit_autocommit(
         &self,
         view: String,
@@ -802,65 +738,54 @@ impl Service {
         let tx = PendingTx::new(vec![(view, statements)]);
         loop {
             let topo = self.topology();
-            let Some(shard) = topo.route.shard_of(tx.view()) else {
+            let Some(id) = topo.route.shard_of(tx.view()) else {
                 return Err(ServiceError::Engine(EngineError::NotAView(
                     tx.view().to_owned(),
                 )));
             };
-            if topo.committers[shard.index()].enqueue(Arc::clone(&tx))? {
-                break;
+            let shard = &topo.shards[id.index()];
+            shard.enqueue(Arc::clone(&tx))?;
+            let slot = shard.write();
+            if slot.is_none() {
+                drop(slot);
+                if shard.retract(&tx)? {
+                    continue;
+                }
+            } else {
+                let members = shard.drain()?;
+                if !members.is_empty() {
+                    self.commit_epoch(&topo, vec![(id, slot)], &members);
+                }
             }
-            // The committer was closed by a live re-shard that raced our
-            // topology load; reload and enqueue in the successor.
-            std::thread::yield_now();
+            return tx.result();
         }
-        self.lead_epoch(&tx, true)
     }
 
-    /// Drive `tx` to completion as the leader of an epoch over its lock
-    /// set: the owning shard of every target view, write-locked in
-    /// global id order (deadlock-free; commits on disjoint shards don't
-    /// contend at all). A `queued` (autocommit) transaction leads
-    /// whatever its shard's group committer holds at that moment; a
-    /// session batch is an epoch with one member — itself.
-    fn lead_epoch(&self, tx: &Arc<PendingTx>, queued: bool) -> TxResult {
+    /// Commit a session batch as a one-member epoch over its lock set:
+    /// the owning shard of every target view, write-locked in global id
+    /// order (deadlock-free; commits on disjoint shards don't contend
+    /// at all).
+    fn commit_batch(&self, tx: &Arc<PendingTx>) -> TxResult {
         loop {
-            // Topology first: whoever filled the result did so before
-            // any re-shard this load can observe swapped in.
             let topo = self.topology();
-            if let Some(result) = tx.take_result()? {
-                return result;
-            }
             let views = tx.groups().iter().map(|(view, _)| view.as_str());
-            let guards = topo.shards.write_set(topo.route.lock_set(views)?);
+            let guards = topo.write_set(topo.route.lock_set(views)?);
             if guards.iter().any(|(_, slot)| slot.is_none()) {
-                // A live re-shard retired the generation while we
-                // blocked (migrating or failing whatever was queued):
+                // A live re-shard retired a shard while we blocked:
                 // reload the topology and re-resolve.
-                drop(guards);
-                std::thread::yield_now();
                 continue;
             }
-            let members = if queued {
-                // Empty when another leader drained our transaction: it
-                // filled the result before releasing the lock we hold.
-                topo.committers[guards[0].0.index()].drain()?
-            } else {
-                vec![Arc::clone(tx)]
-            };
-            if !members.is_empty() {
-                self.commit_epoch(&topo, guards, &members);
-            }
+            self.commit_epoch(&topo, guards, std::slice::from_ref(tx));
+            return tx.result();
         }
     }
 
     /// The durability hookup for an epoch whose lowest locked shard is
     /// `shard` (`None` on an in-memory service).
     pub(crate) fn epoch_wal<'t>(&self, topo: &'t Topology, shard: LockId) -> Option<EpochWal<'t>> {
-        self.inner.wal.as_ref().map(|wal| EpochWal {
-            writer: &topo.writers[shard.index()],
-            fsync: wal.fsync,
-        })
+        let fsync = self.inner.wal.as_ref()?.fsync;
+        let writer = topo.shards[shard.index()].writer.as_deref()?;
+        Some(EpochWal { writer, fsync })
     }
 
     /// The one post-commit hook, run with no locks held by every entry
@@ -894,12 +819,16 @@ impl Service {
     /// is the operator-driven alternative.
     fn heal_after_durability_failure(&self, wal: &WalState) {
         let topo = self.topology();
-        let any_sealed = topo.writers.iter().any(|writer| {
-            writer
-                .lock()
-                .map(|writer| writer.is_sealed())
-                .unwrap_or(false)
-        });
+        let any_sealed = topo
+            .shards
+            .iter()
+            .filter_map(|shard| shard.writer.as_ref())
+            .any(|writer| {
+                writer
+                    .lock()
+                    .map(|writer| writer.is_sealed())
+                    .unwrap_or(false)
+            });
         if !any_sealed {
             return;
         }
@@ -1013,21 +942,25 @@ impl Service {
         let mut images: Vec<Arc<ShardSnapshot>> = Vec::with_capacity(topo.shards.len());
         let mut defs: Vec<ViewDef> = Vec::new();
         let mut closed_segments: Vec<PathBuf> = Vec::new();
-        let mut sealed_shards: Vec<usize> = Vec::new();
-        for id in topo.shards.ids() {
-            let slot = topo.shards.write(id);
-            let image = Arc::clone(self.inner.published.load().shard(id));
+        let mut sealed = Vec::new();
+        for (index, shard) in topo.shards.iter().enumerate() {
+            let slot = shard.write();
+            let image = Arc::clone(self.inner.published.load().shard(LockId::new(index)));
             if let Some(engine) = slot.as_ref() {
                 defs.extend(engine.view_definitions().iter().map(def_to_wal));
             }
-            let mut writer = topo.writers[id.index()]
+            let writer = shard
+                .writer
+                .as_ref()
+                .expect("a durable service's shards log");
+            let mut writer_guard = writer
                 .lock()
                 .map_err(|_| ServiceError::Poisoned("wal segment writer".into()))?;
-            if writer.is_sealed() {
-                sealed_shards.push(id.index());
+            if writer_guard.is_sealed() {
+                sealed.push(writer);
             } else {
                 closed_segments.extend(
-                    writer
+                    writer_guard
                         .rotate_for_checkpoint()
                         .map_err(|e| ServiceError::Durability(format!("wal rotate: {e}")))?,
                 );
@@ -1058,12 +991,12 @@ impl Service {
             std::fs::remove_file(&path)
                 .map_err(|e| ServiceError::Durability(format!("wal truncate: {e}")))?;
         }
-        for index in sealed_shards {
+        for writer in sealed {
             // Safe without the shard lock: a sealed writer admits no
             // appends, and `reset` both clears the damaged series and
             // unseals (subsequent commits start a clean log whose every
             // record is > watermark).
-            topo.writers[index]
+            writer
                 .lock()
                 .map_err(|_| ServiceError::Poisoned("wal segment writer".into()))?
                 .reset()
@@ -1238,7 +1171,7 @@ impl Service {
         // Quiesce: write-lock exactly the affected shards (deduplicated,
         // ascending — deadlock-free against every commit). Disjoint
         // shards are untouched and keep committing.
-        let mut guards = topo.shards.write_set(affected);
+        let mut guards = topo.write_set(affected);
         quiesce_hook();
         let components: Vec<Engine> = guards
             .iter_mut()
@@ -1281,7 +1214,7 @@ impl Service {
         let Some(shard) = topo.route.shard_of(view).filter(|_| is_view) else {
             return Err(ServiceError::Engine(EngineError::NotAView(view.to_owned())));
         };
-        let mut guards = topo.shards.write_set(vec![shard]);
+        let mut guards = topo.write_set(vec![shard]);
         let mut merged = guards[0].1.take().expect("routed shards are live");
         if let Some(dependent) = merged.dependent_view(view).map(String::from) {
             // Another view's footprint closure still reaches this one
@@ -1331,12 +1264,10 @@ impl Service {
 
     /// Build and swap in the successor topology — the registration's
     /// pass through the commit bracket: take a commit seq, split
-    /// `merged`, assign shard ids (the retired ids — those of the held
-    /// `guards` — are reused in ascending order, overflow gets fresh
-    /// ids), log `record(seq)` to the WAL, migrate the retired
-    /// committers' queued transactions, publish the successor snapshot
-    /// and atomically store the new `Topology`.
-    /// Returns the seq.
+    /// `merged`, open a WAL writer for each shard index past the old
+    /// end, log `record(seq)`, then publish the successor snapshot and
+    /// swap in the successor topology (`Topology::successor`) under the
+    /// publication lock. Returns the seq.
     ///
     /// On failure (WAL segment open or record append) **nothing is
     /// installed** and nothing durable was written: the re-merged engine
@@ -1356,39 +1287,26 @@ impl Service {
         let seq = self.next_commit_seq();
         let record = record(seq);
         let components = merged.split_components();
-        let old_len = topo.shards.len();
-        // Ids for the new components: reuse the retired slots' indices
-        // first (ascending), then extend past the current topology.
-        let fresh = (old_len..).map(LockId::new);
-        let new_ids: Vec<LockId> = retired
-            .iter()
-            .copied()
-            .chain(fresh)
-            .take(components.len())
-            .collect();
-        let new_len = old_len.max(new_ids.last().map_or(0, |id| id.index() + 1));
-        let mut writers = topo.writers.clone();
+        let mut fresh_writers = Vec::new();
         if let Some(wal) = &self.inner.wal {
-            let opened = (writers.len()..new_len).try_for_each(|index| {
-                let writer =
-                    SegmentWriter::open(&wal.data_dir, index, wal.segment_bytes).map_err(|e| {
-                        ServiceError::Durability(format!("opening wal segment for new shard: {e}"))
-                    })?;
-                writers.push(Arc::new(Mutex::new(writer)));
-                Ok(())
-            });
+            let old_len = topo.shards.len();
+            let new_len = old_len + components.len().saturating_sub(retired.len());
             // Log the registration like any epoch's record — to the
-            // lowest locked (= first retired) shard's existing writer:
-            // its segment series already holds every earlier record of
-            // that shard, the shard's locks are held (no concurrent
-            // append), and seq exceeds every seq previously logged there
-            // — per-shard monotonicity is preserved. The record must be
+            // lowest locked (= first retired) shard's writer: its
+            // segment series already holds every earlier record of that
+            // shard, the shard's locks are held (no concurrent append),
+            // and seq exceeds every seq previously logged there —
+            // per-shard monotonicity is preserved. The record must be
             // durable *before* the swap: after the swap, commits through
             // the new view would be unreplayable without it.
-            let logged = opened.and_then(|()| {
-                self.epoch_wal(topo, retired[0])
-                    .map_or(Ok(()), |wal| wal.log(&[record]))
-            });
+            let logged = (old_len..new_len)
+                .map(|index| wal.open_writer(index))
+                .collect::<ServiceResult<_>>()
+                .and_then(|writers| {
+                    fresh_writers = writers;
+                    self.epoch_wal(topo, retired[0])
+                        .map_or(Ok(()), |wal| wal.log(&[record]))
+                });
             if let Err(e) = logged {
                 let mut merged =
                     Engine::merge(components).expect("components of one engine are disjoint");
@@ -1397,87 +1315,21 @@ impl Service {
                 return Err(e);
             }
         }
-        // The successor route (built before the components move).
-        let route = Arc::new(
-            topo.route
-                .successor(&retired, components.iter().zip(new_ids.iter().copied())),
-        );
-        let mut replacements: BTreeMap<usize, Engine> = new_ids
-            .iter()
-            .map(|id| id.index())
-            .zip(components)
-            .collect();
-        // The successor snapshot's new entries, in ascending id order;
-        // survivors keep whatever entry is current when it is stored.
-        let mut images = Vec::new();
-        let empty = Arc::new(ShardSnapshot::empty(seq));
-        let mut slots = Vec::with_capacity(new_len);
-        let mut committers = Vec::with_capacity(new_len);
-        for id in (0..new_len).map(LockId::new) {
-            if let Some(mut component) = replacements.remove(&id.index()) {
-                // Replacement shard: FRESH slot/committer Arcs, so an
-                // old-generation thread still holding the previous
-                // generation's lock set can never reach this engine.
-                images.push((id, Arc::new(ShardSnapshot::capture(&mut component, seq))));
-                slots.push(Arc::new(RwLock::new(Some(component))));
-                committers.push(Arc::new(GroupCommitter::default()));
-            } else if retired.contains(&id) {
-                // Retired without replacement: the slot stays `None`
-                // forever (in this and all later generations unless a
-                // future re-shard reuses the index with fresh Arcs).
-                images.push((id, Arc::clone(&empty)));
-                slots.push(Arc::new(RwLock::new(None)));
-                committers.push(Arc::new(GroupCommitter::default()));
-            } else if id.index() < old_len {
-                // Survivor: same Arcs across generations — LockId
-                // identity is what keeps ascending lock order global.
-                slots.push(topo.shards.slot(id));
-                committers.push(Arc::clone(&topo.committers[id.index()]));
-            } else {
-                unreachable!("extended indices always carry a replacement");
-            }
-        }
-        // Close the retired committers and migrate their queued
-        // transactions into the successor queues *before* the swap: a
-        // submitter that already enqueued against the old topology gets
-        // carried over (or failed), never stranded. New submitters that
-        // load the old topology after this find the committer closed and
-        // reload.
-        for id in &retired {
-            for orphan in topo.committers[id.index()].close_and_drain() {
-                match route.shard_of(orphan.view()) {
-                    Some(successor) => {
-                        if !matches!(
-                            committers[successor.index()].enqueue(Arc::clone(&orphan)),
-                            Ok(true)
-                        ) {
-                            orphan.fill(Err(ServiceError::Poisoned("group-commit queue".into())));
-                        }
-                    }
-                    // The view vanished (this very unregister): fail the
-                    // transaction the same way a fresh submit would.
-                    None => orphan.fill(Err(ServiceError::Engine(EngineError::NotAView(
-                        orphan.view().to_owned(),
-                    )))),
-                }
-            }
-        }
-        // Published before the swap and in one store, so a reader sees
-        // either generation in full; a survivor publishing concurrently
-        // keeps its entry whichever of the two stores comes first.
-        self.inner
+        let (successor, images) = topo.successor(&retired, components, fresh_writers, seq);
+        // One store under the publication lock, with the topology
+        // swapped before it is released: a reader sees either
+        // generation in full, and a view it sees is already writable.
+        // A survivor publishing concurrently keeps its entry whichever
+        // of the two stores comes first.
+        let _published = self
+            .inner
             .published
-            .publish(images, Some(Arc::clone(&route)));
-        let successor = Arc::new(Topology {
-            shards: LockManager::from_slots(slots),
-            route,
-            committers,
-            writers,
-        });
-        match self.inner.topology.write() {
-            Ok(mut current) => *current = successor,
-            Err(poisoned) => *poisoned.into_inner() = successor,
-        }
+            .publish(images, Some(Arc::clone(&successor.route)));
+        *self
+            .inner
+            .topology
+            .write()
+            .unwrap_or_else(PoisonError::into_inner) = Arc::new(successor);
         Ok(seq)
     }
 }
@@ -1631,7 +1483,7 @@ impl Session {
             }
         }
         let views = groups.len();
-        let (commit_seq, stats) = self.service.lead_epoch(&PendingTx::new(groups), false)?;
+        let (commit_seq, stats) = self.service.commit_batch(&PendingTx::new(groups))?;
         Ok(CommitOutcome {
             commit_seq,
             statements: statement_count,
@@ -2048,5 +1900,141 @@ mod tests {
             service.unregister_view("r1"),
             Err(ServiceError::Engine(EngineError::NotAView("r1".into())))
         );
+    }
+
+    /// An autocommit queued in a shard that a registration retires
+    /// (queued while the quiesce barrier holds the shard's lock) takes
+    /// its transaction back out of the retired queue and commits in
+    /// the successor shard.
+    #[test]
+    fn a_submitter_whose_shard_retires_resubmits_to_the_successor() {
+        use std::time::{Duration, Instant};
+        let service = union_service();
+        let retired = service.topology();
+        let submitter = service.clone();
+        let (done_tx, done) = mpsc::channel();
+        let mut handle = None;
+        service
+            .register_view_with_quiesce_hook(
+                union_strategy_named("w"),
+                StrategyMode::Incremental,
+                || {
+                    handle = Some(std::thread::spawn(move || {
+                        let outcome = submitter.session().execute("INSERT INTO v VALUES (7);");
+                        let _ = done_tx.send(outcome);
+                    }));
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while retired.queue_len("v") == 0 {
+                        assert!(Instant::now() < deadline, "the autocommit never queued");
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                },
+            )
+            .unwrap();
+        let outcome = done
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the retired shard's submitter hung");
+        handle.unwrap().join().unwrap();
+        assert!(
+            matches!(outcome, Ok(ExecOutcome::Applied(_))),
+            "{outcome:?}"
+        );
+        assert_eq!(
+            retired.queue_len("v"),
+            0,
+            "taken back out of the retired queue"
+        );
+        let successor = service.topology();
+        let shard_of_v = |topo: &Topology| {
+            let id = topo.route.shard_of("v").unwrap();
+            Arc::clone(&topo.shards[id.index()])
+        };
+        assert!(!Arc::ptr_eq(&shard_of_v(&retired), &shard_of_v(&successor)));
+        assert!(service.query("v").unwrap().contains(&tuple![7]));
+        assert!(service.query("r1").unwrap().contains(&tuple![7]));
+        assert_eq!(service.commits(), 2, "the registration and the insert");
+    }
+
+    /// A view update whose cascade a sub-view's constraint rejects is
+    /// undone whole, so memory still equals what recovery rebuilds:
+    /// `w = σ_{a>2}(v)` over `v = r1 ∪ r2`, where `v` (registered
+    /// without validation) rejects values above 100.
+    #[test]
+    fn a_rejected_cascade_leaves_memory_equal_to_recovery() {
+        let dir = std::env::temp_dir().join(format!(
+            "birds-service-rejected-cascade-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || {
+            let mut engine = Engine::new(union_database());
+            // The get of the unconstrained union; the constraint makes
+            // the strategy itself fail validation.
+            let get = birds_core::validate(&union_strategy())
+                .unwrap()
+                .derived_get
+                .unwrap();
+            let v = UpdateStrategy::parse(
+                union_strategy().source_schema,
+                Schema::new("v", vec![("a", SortKind::Int)]),
+                "
+                false :- v(X), X > 100.
+                -r1(X) :- r1(X), not v(X).
+                -r2(X) :- r2(X), not v(X).
+                +r1(X) :- v(X), not r1(X), not r2(X).
+                ",
+                None,
+            )
+            .unwrap();
+            engine
+                .register_view_unchecked(v, get, StrategyMode::Incremental)
+                .unwrap();
+            let w = UpdateStrategy::parse(
+                DatabaseSchema::new().with(Schema::new("v", vec![("a", SortKind::Int)])),
+                Schema::new("w", vec![("a", SortKind::Int)]),
+                "
+                false :- w(X), not X > 2.
+                +v(X) :- w(X), not v(X).
+                mv(X) :- v(X), X > 2.
+                -v(X) :- mv(X), not w(X).
+                ",
+                None,
+            )
+            .unwrap();
+            engine.register_view(w, StrategyMode::Incremental).unwrap();
+            Service::open(
+                engine,
+                ServiceConfig::default(),
+                DurabilityConfig::new(&dir),
+            )
+            .unwrap()
+        };
+        let contents =
+            |service: &Service| ["r1", "r2", "v", "w"].map(|name| service.query(name).unwrap());
+        let service = open();
+        let before = contents(&service);
+        let rejected = service.session().execute("INSERT INTO w VALUES (500);");
+        assert!(
+            matches!(
+                &rejected,
+                Err(ServiceError::Engine(EngineError::ConstraintViolation { view, .. })) if view == "v"
+            ),
+            "{rejected:?}"
+        );
+        assert_eq!(contents(&service), before);
+        // A rejected update publishes nothing: the next commit on the
+        // shard publishes whatever the engine holds.
+        service
+            .session()
+            .execute("INSERT INTO w VALUES (50);")
+            .unwrap();
+        let memory = contents(&service);
+        assert!(
+            !memory.iter().flatten().any(|t| *t == tuple![500]),
+            "{memory:?}"
+        );
+        drop(service);
+        assert_eq!(contents(&open()), memory, "recovery equals memory");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

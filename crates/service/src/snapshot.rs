@@ -36,10 +36,10 @@
 //! other's entries.
 
 use crate::footprint::ShardMap;
-use crate::locks::LockId;
+use crate::topology::LockId;
 use birds_engine::Engine;
 use birds_store::RelationVersion;
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, PoisonError, RwLock, RwLockWriteGuard};
 
 /// An immutable image of one shard's relations at a commit boundary.
 ///
@@ -210,12 +210,14 @@ impl Published {
     /// table too when a re-shard passes its successor `route`. Ids past
     /// the current end (a re-shard's fresh slots) come in ascending
     /// order. The copy is made under the write lock, so concurrent
-    /// publishers on disjoint shards keep each other's entries.
+    /// publishers on disjoint shards keep each other's entries. The
+    /// lock is returned still held: a re-shard swaps its topology under
+    /// it, so no reader finds a route that writers cannot use yet.
     pub(crate) fn publish(
         &self,
         images: impl IntoIterator<Item = (LockId, Arc<ShardSnapshot>)>,
         route: Option<Arc<ShardMap>>,
-    ) {
+    ) -> RwLockWriteGuard<'_, Arc<ServiceSnapshot>> {
         let mut current = self.0.write().unwrap_or_else(PoisonError::into_inner);
         let mut shards = current.shards.clone();
         for (id, image) in images {
@@ -226,5 +228,6 @@ impl Published {
         }
         let route = route.unwrap_or_else(|| Arc::clone(&current.route));
         *current = Arc::new(ServiceSnapshot { shards, route });
+        current
     }
 }

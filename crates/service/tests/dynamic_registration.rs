@@ -409,3 +409,86 @@ fn reads_keep_every_base_table_across_re_shards() {
     assert_eq!(service.view_names(), vec!["v0".to_owned()]);
     assert_eq!(service.shard_count(), 3); // v0's component, p, q
 }
+
+/// A registered view is writable the moment a reader can see it: the
+/// topology swap happens under the publication lock, so an insert into
+/// a view `view_names` just listed never answers `NotAView`.
+#[test]
+fn a_view_is_writable_as_soon_as_it_is_visible() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+    const CYCLES: i64 = 100;
+    let service = Service::new(engine_with_free_tables(1));
+    let visible = |service: &Service| service.view_names().iter().any(|name| name == "w");
+    let (seen_tx, seen) = mpsc::channel();
+    let reader = {
+        let service = service.clone();
+        std::thread::spawn(move || {
+            let mut session = service.session();
+            for cycle in 0..CYCLES {
+                while !visible(&service) {
+                    std::hint::spin_loop();
+                }
+                let inserted = session.execute(&format!("INSERT INTO w VALUES ({});", 100 + cycle));
+                assert!(inserted.is_ok(), "cycle {cycle}: {inserted:?}");
+                seen_tx.send(()).unwrap();
+                while visible(&service) {
+                    std::hint::spin_loop();
+                }
+                seen_tx.send(()).unwrap();
+            }
+        })
+    };
+    for cycle in 0..CYCLES {
+        service
+            .register_view(union_strategy("w", "p", "q"), StrategyMode::Incremental)
+            .unwrap();
+        seen.recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("cycle {cycle}: the reader stopped"));
+        service.unregister_view("w").unwrap();
+        seen.recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("cycle {cycle}: the reader stopped"));
+    }
+    reader.join().unwrap();
+    assert_eq!(sorted(&service, "p").len(), 1 + CYCLES as usize);
+}
+
+/// An autocommit raced against the deregistration of its view either
+/// commits or answers `NotAView` — within a bound, whichever wins.
+#[test]
+fn an_autocommit_racing_unregister_ends_ok_or_not_a_view() {
+    use birds_engine::EngineError;
+    use std::sync::{mpsc, Barrier};
+    use std::time::Duration;
+    let service = Service::new(engine_with_free_tables(1));
+    let mut outcomes = [0usize; 2];
+    for round in 0..50 {
+        service
+            .register_view(union_strategy("w", "p", "q"), StrategyMode::Incremental)
+            .unwrap();
+        let start = Arc::new(Barrier::new(2));
+        let (done_tx, done) = mpsc::channel();
+        let submitter = {
+            let (service, start) = (service.clone(), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                let outcome = service
+                    .session()
+                    .execute(&format!("INSERT INTO w VALUES ({});", 1000 + round));
+                let _ = done_tx.send(outcome);
+            })
+        };
+        start.wait();
+        service.unregister_view("w").unwrap();
+        match done.recv_timeout(Duration::from_secs(10)) {
+            Ok(Ok(_)) => outcomes[0] += 1,
+            Ok(Err(ServiceError::Engine(EngineError::NotAView(view)))) if view == "w" => {
+                outcomes[1] += 1
+            }
+            Ok(Err(e)) => panic!("round {round}: {e}"),
+            Err(_) => panic!("round {round}: the autocommit hung"),
+        }
+        submitter.join().unwrap();
+    }
+    assert_eq!(outcomes.iter().sum::<usize>(), 50, "{outcomes:?}");
+}

@@ -134,8 +134,6 @@ impl BoundedSolver {
         // product of small variable-connected components.
         let closed = miniscope(&closed);
 
-        // Set BIRDS_SOLVER_DEBUG=1 to trace per-domain grounding/SAT cost.
-        let debug = std::env::var_os("BIRDS_SOLVER_DEBUG").is_some();
         for n_fresh in 0..=self.config.max_fresh {
             let domain = build_domain(&closed, n_fresh);
             if domain.is_empty() {
@@ -147,23 +145,12 @@ impl BoundedSolver {
                     max: self.config.max_total,
                 });
             }
-            let t_ground = std::time::Instant::now();
             let grounded = ground(&closed, &domain, self.budget).map_err(|e| match e {
                 GroundError::BudgetExceeded => SolverError::BudgetExceeded,
                 GroundError::UnboundVariable(v) => {
                     unreachable!("sentence was closed but {v} is unbound")
                 }
             })?;
-            if debug {
-                eprintln!(
-                    "[solver] fresh={n_fresh} |D|={} size={} arena={} atoms={} ground={:?}",
-                    domain.len(),
-                    closed.size(),
-                    grounded.arena.len(),
-                    grounded.atoms.len(),
-                    t_ground.elapsed()
-                );
-            }
             // Fast paths on constant roots.
             match grounded.arena.node(grounded.root) {
                 PNode::True => {
@@ -175,20 +162,10 @@ impl BoundedSolver {
                 PNode::False => continue,
                 _ => {}
             }
-            let t_sat = std::time::Instant::now();
             let (cnf, atom_vars) = grounded
                 .arena
                 .tseitin(grounded.root, grounded.atoms.len() as u32);
             let solved = solve(&cnf);
-            if debug {
-                eprintln!(
-                    "[solver]   vars={} clauses={} sat={} in {:?}",
-                    cnf.num_vars,
-                    cnf.clauses.len(),
-                    solved.is_some(),
-                    t_sat.elapsed()
-                );
-            }
             if let Some(assignment) = solved {
                 let mut relations: BTreeMap<PredRef, Vec<Tuple>> = BTreeMap::new();
                 for (i, (pred, vals)) in grounded.atoms.iter().enumerate() {
