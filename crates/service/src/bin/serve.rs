@@ -31,7 +31,10 @@
 //! before it is acknowledged, `--fsync always|epoch|off` picks the
 //! flush policy (default `epoch`: one fdatasync per group-commit
 //! epoch), and `--checkpoint-every N` snapshots-then-truncates the log
-//! every N commits (default 1024; 0 disables automatic checkpoints).
+//! every N commits (default 1024; 0 disables automatic checkpoints). A
+//! checkpoint also deletes the segment series of shards that a
+//! `register`/`unregister` re-shard retired, and those a previous run
+//! left.
 //! On startup the server recovers the latest snapshot and replays the
 //! WAL in global commit-seq order, discarding torn tails by CRC.
 //!

@@ -15,24 +15,28 @@
 //!
 //! The [`ShardMap`] is the routing half: an immutable relation-name →
 //! [`LockId`] table, consulted without any lock. Immutable does not
-//! mean frozen: live view registration builds a *successor* map
-//! (`ShardMap::successor`) with the affected names re-routed and
-//! atomically swaps the `Arc` holding it — every request loads the
-//! current map once and routes against a consistent generation.
+//! mean frozen: a live re-shard builds a *successor* map
+//! (`ShardMap::successor`) with the affected names re-routed, as part
+//! of the successor generation it stores (`crate::topology`) — every
+//! request loads the current generation once and routes against it.
+//! The first generation is the successor of an empty one: its shards
+//! are the engine's components, routed the same way.
 
 use crate::error::{ServiceError, ServiceResult};
+use crate::snapshot::ShardSnapshot;
 use crate::topology::LockId;
-use birds_engine::{Engine, EngineError};
+use birds_engine::EngineError;
 use std::collections::HashMap;
 
 /// Immutable relation-name → shard routing table.
-pub struct ShardMap {
+#[derive(Default)]
+pub(crate) struct ShardMap {
     route: HashMap<String, LockId>,
 }
 
 impl ShardMap {
     /// The shard that owns `relation` (a base table or view name).
-    pub fn shard_of(&self, relation: &str) -> Option<LockId> {
+    pub(crate) fn shard_of(&self, relation: &str) -> Option<LockId> {
         self.route.get(relation).copied()
     }
 
@@ -40,7 +44,7 @@ impl ShardMap {
     /// each name (sorted and deduplicated by `Topology::write_set`).
     /// Unknown names are a typed error — the engine would reject them as
     /// `NotAView` anyway, so the commit fails before taking any lock.
-    pub fn lock_set<'a>(
+    pub(crate) fn lock_set<'a>(
         &self,
         names: impl IntoIterator<Item = &'a str>,
     ) -> ServiceResult<Vec<LockId>> {
@@ -53,37 +57,15 @@ impl ShardMap {
             .collect()
     }
 
-    /// Number of routed relation names.
-    pub fn len(&self) -> usize {
-        self.route.len()
-    }
-
-    /// `true` when nothing is routed.
-    pub fn is_empty(&self) -> bool {
-        self.route.is_empty()
-    }
-
-    /// All routed names and their shards (unordered).
-    pub fn entries(&self) -> impl Iterator<Item = (&str, LockId)> {
-        self.route.iter().map(|(name, id)| (name.as_str(), *id))
-    }
-
-    /// The distinct shard ids this map routes to, ascending.
-    pub fn shard_ids(&self) -> Vec<LockId> {
-        let mut ids: Vec<LockId> = self.route.values().copied().collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
     /// Build the successor map of a live re-shard: every name currently
     /// routed to one of the `retired` shards is dropped, then each
-    /// replacement component's names are routed to its new id. Names on
-    /// surviving shards keep their routes (and their slot `Arc`s).
+    /// replacement shard's relations, named by its first image, are
+    /// routed to its new id. Names on surviving shards keep their
+    /// routes.
     pub(crate) fn successor<'a>(
         &self,
         retired: &[LockId],
-        replacements: impl IntoIterator<Item = (&'a Engine, LockId)>,
+        replacements: impl IntoIterator<Item = (LockId, &'a ShardSnapshot)>,
     ) -> ShardMap {
         let mut route: HashMap<String, LockId> = self
             .route
@@ -91,24 +73,11 @@ impl ShardMap {
             .filter(|(_, id)| !retired.contains(id))
             .map(|(name, id)| (name.clone(), *id))
             .collect();
-        for (component, id) in replacements {
-            for name in component.database().names() {
-                route.insert(name.to_owned(), id);
+        for (id, image) in replacements {
+            for relation in image.relations() {
+                route.insert(relation.name().to_owned(), id);
             }
         }
         ShardMap { route }
     }
-}
-
-/// Split `engine` into its footprint components and build the shard
-/// routing table: component `i` becomes lock slot `i`.
-pub fn partition(engine: Engine) -> (Vec<Engine>, ShardMap) {
-    let components = engine.split_components();
-    let mut route = HashMap::new();
-    for (index, component) in components.iter().enumerate() {
-        for name in component.database().names() {
-            route.insert(name.to_owned(), LockId::new(index));
-        }
-    }
-    (components, ShardMap { route })
 }

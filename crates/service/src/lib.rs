@@ -8,16 +8,16 @@
 //! the database at a time. This crate adds the machinery a production
 //! deployment needs around that core:
 //!
-//! * [`footprint`] / `topology` *(internal)* — **footprint-sharded
+//! * `footprint` / `topology` *(internal)* — **footprint-sharded
 //!   concurrency control**. The engine is split along view dependency
-//!   footprints into shards, each one value: its engine component
-//!   behind a reader-writer lock, its group-commit queue and its WAL
-//!   writer. A commit write-locks only the shards its target views live
-//!   in, always in global [`LockId`] order (deadlock-free by
-//!   construction), so commits on disjoint views run in parallel. A
-//!   global commit sequence still numbers every transaction: the
-//!   concurrent history remains equivalent to its serial replay in
-//!   commit order.
+//!   footprints into shards, each one value: its never-reused
+//!   [`LockId`], its engine component behind a reader-writer lock, its
+//!   group-commit queue and its WAL segment series. A commit
+//!   write-locks only the shards its target views live in, always in
+//!   ascending id order (deadlock-free by construction), so commits on
+//!   disjoint views run in parallel. A global commit sequence still
+//!   numbers every transaction: the concurrent history remains
+//!   equivalent to its serial replay in commit order.
 //! * `commit` *(internal)* — **the one commit pipeline**. Autocommit
 //!   epochs, session batches and view registrations all go through a
 //!   single derive → apply → log → sync → publish → acknowledge bracket
@@ -29,15 +29,17 @@
 //!   batch-level throughput to clients that never call `begin`/`commit`
 //!   (Obladi-style epochs, each as long as its leader's lock tenure).
 //! * [`snapshot`] — **MVCC snapshot reads**. The service publishes one
-//!   [`ServiceSnapshot`] behind one copy-on-write pointer: an immutable,
-//!   `Arc`-shared image per shard (copy-on-write at the tuple-set level,
-//!   so only touched relations are rebuilt), each tagged with its
-//!   shard's high-water commit seq. A commit stores all of its shards'
-//!   new images in one publication. All reads — [`Service::query`],
-//!   [`Service::snapshot`], stats — load that pointer and run lock-free:
-//!   readers never wait for writers, writers never wait for readers, and
-//!   a pinned [`ServiceSnapshot`] stays commit-seq-consistent for as
-//!   long as the reader holds it. Checkpoints serialize the published
+//!   [`ServiceSnapshot`] behind one copy-on-write pointer, and it is the
+//!   whole generation: the live shards, their routing table and an
+//!   immutable, `Arc`-shared image per shard (copy-on-write at the
+//!   tuple-set level, so only touched relations are rebuilt), each
+//!   tagged with its shard's high-water commit seq. A commit stores all
+//!   of its shards' new images in one publication, and a live re-shard
+//!   stores its successor generation the same way. All reads —
+//!   [`Service::query`], [`Service::snapshot`], stats — load that
+//!   pointer and run lock-free: readers never wait for writers, writers
+//!   never wait for readers, and a pinned [`ServiceSnapshot`] stays
+//!   commit-seq-consistent for as long as the reader holds it. Checkpoints serialize the published
 //!   images instead of stop-the-world locking every shard.
 //! * [`Service`] — a cheap-to-clone, thread-safe handle over the shard
 //!   set; [`Service::snapshot`] pins a consistent all-shard image,
@@ -62,11 +64,12 @@
 //!   [`Service::unregister_view`], PR 10) — views are registered and
 //!   deregistered on the **live** service: the strategy is validated
 //!   (Algorithm 1), only the shards its footprint touches quiesce while
-//!   the topology re-shards (commits elsewhere proceed), the
-//!   registration is WAL-logged in commit order and snapshotted into
-//!   the checkpoint manifest, so runtime-registered views survive crash
-//!   recovery. Exposed over the wire as the `register` / `unregister` /
-//!   `validate` protocol ops.
+//!   the topology re-shards (commits elsewhere proceed; the retired
+//!   shards leave, and the next checkpoint deletes their WAL series),
+//!   the registration is WAL-logged in commit order and snapshotted
+//!   into the checkpoint manifest, so runtime-registered views survive
+//!   crash recovery. Exposed over the wire as the `register` /
+//!   `unregister` / `validate` protocol ops.
 //! * [`protocol`] / [`Server`] — a line-delimited JSON protocol over TCP
 //!   (the `birds-serve` binary) with per-request `id` echo for
 //!   pipelining and a hard request-size cap (oversized lines are
@@ -95,7 +98,7 @@
 mod commit;
 mod conn;
 pub mod error;
-pub mod footprint;
+mod footprint;
 pub mod group_commit;
 pub mod json;
 pub mod protocol;
@@ -107,7 +110,6 @@ mod sys;
 mod topology;
 
 pub use error::{ServiceError, ServiceResult};
-pub use footprint::ShardMap;
 pub use json::Json;
 pub use protocol::{dispatch, Envelope, Request, StrategySpec};
 pub use server::{LocalClient, Server, ServerConfig};

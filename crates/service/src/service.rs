@@ -4,7 +4,7 @@
 //! and deregistered on a live service.
 //!
 //! At construction the engine is split along **view dependency
-//! footprints** into independently locked shards ([`crate::footprint`]):
+//! footprints** into independently locked shards (`crate::footprint`):
 //! each shard owns every relation the views inside it can touch (reads,
 //! writes, cascades), so a commit needs only its own shard's write lock
 //! and commits on disjoint views proceed in parallel. Lock sets are
@@ -17,32 +17,32 @@
 //!
 //! ## Live topology
 //!
-//! The sharded state — one `Arc<Shard>` per shard (engine slot,
-//! group-commit queue, WAL segment writer) plus the routing table —
-//! lives in one `Topology` value behind an `Arc` that every write loads
-//! exactly once (`Service::topology`); reads load only the published
-//! snapshot ([`crate::snapshot`]). Dynamic registration
-//! ([`Service::register_view`] / [`Service::unregister_view`]) builds a
-//! *successor* topology and swaps the `Arc`: the quiesce barrier is the
-//! write locks of **only the shards the new view's footprint touches**
-//! (computed by [`birds_engine::strategy_touches`] before any lock is
-//! taken); disjoint shards keep committing throughout. The affected
-//! shards' engines are taken out of their slots (which stay `None` for
-//! good), merged ([`Engine::merge`]), mutated, re-split, and installed
-//! as **fresh** shards, so a stale thread that raced the swap can never
-//! reach a new engine through an old lock: it finds `None`, takes its
-//! queued transaction back, reloads the topology and resubmits.
-//! Surviving shards keep their `Arc` across generations — `LockId` *i*
-//! names the same shard in every generation that keeps it, which keeps
-//! ascending-order acquisition deadlock-free even when old- and
-//! new-generation threads interleave.
+//! One generation of sharded state — the live shards (engine slot,
+//! group-commit queue, WAL segment writer each), their routing table
+//! and each shard's published image — is one [`ServiceSnapshot`] behind
+//! one `RwLock<Arc<_>>`. Reads load it; writes load it once and keep
+//! only its `Topology` half (`Service::topology`), so a blocked writer
+//! pins no image. Dynamic registration ([`Service::register_view`] /
+//! [`Service::unregister_view`]) stores a *successor* generation: the
+//! quiesce barrier is the write locks of **only the shards the new
+//! view's footprint touches** (computed by
+//! [`birds_engine::strategy_touches`] before any lock is taken);
+//! disjoint shards keep committing throughout. The affected shards'
+//! engines are taken out of their slots (which stay `None` for good),
+//! merged ([`Engine::merge`]), mutated and re-split; the retired shards
+//! leave the generation and each component joins as a **new** shard
+//! under a fresh, never reused id, so a stale thread that raced the
+//! store can never reach a new engine through an old lock: it finds
+//! `None`, takes its queued transaction back, reloads and resubmits.
+//! Surviving shards keep their `Arc` and id, and every thread acquires
+//! ids strictly ascending, whichever generation it loaded.
 //!
 //! Lock order across the subsystem: checkpoint lock → registration
 //! lock → shard locks (ascending) → queue or WAL writer mutex; and shard
-//! locks → the published snapshot's write lock → the topology pointer's
-//! write lock, never the reverse. Registrations serialize on the
-//! registration lock; checkpoints freeze the registration set for their
-//! whole duration by taking that lock too.
+//! locks → the generation pointer's write lock, never the reverse.
+//! Registrations serialize on the registration lock; checkpoints freeze
+//! the registration set for their whole duration by taking that lock
+//! too.
 //!
 //! ## The commit pipeline
 //!
@@ -71,10 +71,9 @@
 //!   acknowledging any client* — a client that saw `Ok` finds its write
 //!   on the lock-free read path, and a reader never sees a commit's
 //!   effects before that commit's WAL record was appended. A
-//!   registration publishes its successor snapshot (replacement shards
-//!   tagged with the registration's seq, and the successor route) in
-//!   one store and swaps the topology before it releases the
-//!   publication lock, so a view a reader can see is already writable.
+//!   registration stores its successor generation (new shards with
+//!   images tagged with the registration's seq, the successor route)
+//!   in one store, so a view a reader can see is already writable.
 //! * **Durability coupling**: on a durable service, no result slot is
 //!   filled until the epoch-end fsync ran, and a registration is
 //!   installed only after its [`WalRecord::Register`] reached the log —
@@ -104,9 +103,8 @@
 
 use crate::commit::EpochWal;
 use crate::error::{ServiceError, ServiceResult};
-use crate::footprint::partition;
 use crate::group_commit::{PendingTx, TxResult};
-use crate::snapshot::{Published, ServiceSnapshot, ShardSnapshot};
+use crate::snapshot::{ServiceSnapshot, ShardSnapshot};
 use crate::topology::{LockId, Shard, ShardGuards, Topology};
 use birds_core::UpdateStrategy;
 use birds_engine::{
@@ -142,19 +140,16 @@ pub struct DurabilityConfig {
     /// commits; `None` disables automatic checkpoints (manual
     /// [`Service::checkpoint`] still works).
     pub checkpoint_every: Option<u64>,
-    /// WAL segment rotation threshold, in bytes.
-    pub segment_bytes: u64,
 }
 
 impl DurabilityConfig {
-    /// Sensible defaults: `epoch` fsync, checkpoint every 1024 commits,
-    /// 8 MiB segments.
+    /// Sensible defaults: `epoch` fsync, checkpoint every 1024 commits.
+    /// WAL segments rotate at [`DEFAULT_SEGMENT_BYTES`].
     pub fn new(data_dir: impl Into<PathBuf>) -> DurabilityConfig {
         DurabilityConfig {
             data_dir: data_dir.into(),
             fsync: FsyncPolicy::default(),
             checkpoint_every: Some(1024),
-            segment_bytes: DEFAULT_SEGMENT_BYTES,
         }
     }
 }
@@ -182,9 +177,6 @@ struct WalState {
     fsync: FsyncPolicy,
     data_dir: PathBuf,
     checkpoint_every: Option<u64>,
-    /// Segment rotation threshold — kept so a live registration can open
-    /// writers for freshly minted shard slots.
-    segment_bytes: u64,
     commits_since_checkpoint: AtomicU64,
     /// Serializes checkpointers (the shard locks alone would let two
     /// checkpoints interleave their snapshot/truncate halves).
@@ -194,27 +186,26 @@ struct WalState {
 }
 
 impl WalState {
-    /// Open (or continue) the segment series of shard `index`.
-    fn open_writer(&self, index: usize) -> ServiceResult<Arc<Mutex<SegmentWriter>>> {
-        let writer =
-            SegmentWriter::open(&self.data_dir, index, self.segment_bytes).map_err(|e| {
-                ServiceError::Durability(format!("opening wal segment series {index}: {e}"))
-            })?;
-        Ok(Arc::new(Mutex::new(writer)))
+    /// Open (or continue) the segment series of shard `id`.
+    fn open_writer(&self, id: LockId) -> ServiceResult<SegmentWriter> {
+        let series = id.index();
+        SegmentWriter::open(&self.data_dir, series, DEFAULT_SEGMENT_BYTES).map_err(|e| {
+            ServiceError::Durability(format!("opening wal segment series {series}: {e}"))
+        })
     }
 }
 
 struct ServiceInner {
-    /// The current topology generation. The `RwLock` guards only the
-    /// `Arc` pointer (clone on load, store on swap) — never engine work.
-    topology: RwLock<Arc<Topology>>,
+    /// The current generation — live shards, their route and their
+    /// published images — and the whole lock-free read path. The
+    /// `RwLock` guards only the `Arc` pointer (clone on load, store on
+    /// publish) — never engine work.
+    generation: RwLock<Arc<ServiceSnapshot>>,
     /// Serializes topology changes (register/unregister). Held for the
     /// whole re-shard; checkpoints take it too, freezing the
     /// registration set while the manifest is written.
     registration_lock: Mutex<()>,
     commit_seq: AtomicU64,
-    /// The one published snapshot: the entire lock-free read path.
-    published: Published,
     /// `Some` when the service is durable ([`Service::open`]).
     wal: Option<WalState>,
 }
@@ -463,51 +454,62 @@ impl Service {
             }
             start_seq = recovery.max_seq;
         }
-        let (components, route) = partition(engine);
         let wal = durability.map(|d| WalState {
             fsync: d.fsync,
             data_dir: d.data_dir,
             checkpoint_every: d.checkpoint_every,
-            segment_bytes: d.segment_bytes,
             commits_since_checkpoint: AtomicU64::new(0),
             checkpoint_lock: Mutex::new(()),
             heal_failures: AtomicU64::new(0),
         });
-        let mut images = Vec::with_capacity(components.len());
-        let mut shards = Vec::with_capacity(components.len());
-        for (index, mut component) in components.into_iter().enumerate() {
-            // Initial publication: every shard's image as of the
-            // recovered (or zero) commit seq.
-            images.push(Arc::new(ShardSnapshot::capture(&mut component, start_seq)));
-            let writer = wal.as_ref().map(|wal| wal.open_writer(index)).transpose()?;
-            shards.push(Shard::new(component, writer));
-        }
-        let route = Arc::new(route);
-        let published = Published::new(images, Arc::clone(&route));
+        // The first generation succeeds an empty one: a shard per
+        // footprint component, each with its image as of the recovered
+        // (or zero) commit seq.
+        let empty = ServiceSnapshot {
+            topology: Arc::default(),
+            images: Vec::new(),
+        };
+        let fresh = empty
+            .topology
+            .fresh_ids()
+            .zip(engine.split_components())
+            .map(|(id, component)| {
+                let writer = wal.as_ref().map(|wal| wal.open_writer(id)).transpose()?;
+                Ok(Shard::new(id, component, writer, start_seq))
+            })
+            .collect::<ServiceResult<Vec<_>>>()?;
         Ok(Service {
             inner: Arc::new(ServiceInner {
-                topology: RwLock::new(Arc::new(Topology { shards, route })),
+                generation: RwLock::new(Arc::new(empty.successor(&[], &fresh))),
                 registration_lock: Mutex::new(()),
                 commit_seq: AtomicU64::new(start_seq),
-                published,
                 wal,
             }),
         })
     }
 
-    /// Load the current topology generation (one `Arc` clone under a
-    /// pointer-only lock, released at once). Every request works
-    /// against the generation it loaded; a re-shard mid-request is
-    /// detected by the `None` slot of a retired shard, upon which the
-    /// request reloads and retries.
+    /// Load the current generation (one `Arc` clone under a
+    /// pointer-only lock, released at once).
+    fn generation(&self) -> Arc<ServiceSnapshot> {
+        let current = self.inner.generation.read();
+        Arc::clone(&current.unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// Store `next(current)` as the current generation: the copy is
+    /// made under the write lock, so concurrent publishers keep each
+    /// other's entries. Lock order: shard locks, then this one.
+    fn publish(&self, next: impl FnOnce(&ServiceSnapshot) -> ServiceSnapshot) {
+        let current = self.inner.generation.write();
+        let mut current = current.unwrap_or_else(PoisonError::into_inner);
+        *current = Arc::new(next(&current));
+    }
+
+    /// The shard half of the current generation: what every write works
+    /// against, without pinning any published image. A re-shard
+    /// mid-request is detected by the `None` slot of a retired shard,
+    /// upon which the request reloads and retries.
     pub(crate) fn topology(&self) -> Arc<Topology> {
-        Arc::clone(
-            &self
-                .inner
-                .topology
-                .read()
-                .unwrap_or_else(PoisonError::into_inner),
-        )
+        Arc::clone(&self.generation().topology)
     }
 
     /// Open a new session in autocommit mode.
@@ -518,11 +520,10 @@ impl Service {
         }
     }
 
-    /// Number of **live** footprint shards (disjoint views land in
-    /// different shards and commit in parallel). Retired lock slots —
-    /// left behind by live re-shards — are not counted.
+    /// Number of footprint shards (disjoint views land in different
+    /// shards and commit in parallel).
     pub fn shard_count(&self) -> usize {
-        self.topology().route.shard_ids().len()
+        self.topology().shards.len()
     }
 }
 
@@ -552,7 +553,7 @@ impl Service {
     /// assert!(pinned.relation("nope").is_none());
     /// ```
     pub fn snapshot(&self) -> ServiceSnapshot {
-        self.inner.published.snapshot()
+        self.generation().copy()
     }
 
     /// Sorted snapshot of a relation's tuples, read lock-free from the
@@ -578,9 +579,7 @@ impl Service {
         // Keep only this relation's version: the rest of the snapshot is
         // dropped here, so a long read pins no other shard's buffers.
         let rel = self
-            .inner
-            .published
-            .load()
+            .generation()
             .relation(relation)
             .cloned()
             .ok_or_else(|| ServiceError::UnknownRelation(relation.to_owned()))?;
@@ -592,7 +591,7 @@ impl Service {
     /// Names of all registered views, in name order — from the
     /// published snapshots, no shard lock taken.
     pub fn view_names(&self) -> Vec<String> {
-        self.inner.published.load().view_names()
+        self.generation().view_names()
     }
 
     /// Statistics for every relation, in name order — from the
@@ -602,7 +601,7 @@ impl Service {
     /// so a climbing miss count flags a probe path that fell back to a
     /// full scan (planner/registration drift) instead of failing silently.
     pub fn relation_stats(&self) -> Vec<RelationStats> {
-        let snapshot = self.inner.published.load();
+        let snapshot = self.generation();
         let mut stats: Vec<RelationStats> = snapshot
             .relations()
             .map(|rel| RelationStats {
@@ -637,7 +636,7 @@ impl Service {
             }
         }
         let topo = self.topology();
-        let shard = Arc::clone(&topo.shards[topo.route.shard_of(relation)?.index()]);
+        let shard = Arc::clone(topo.shard(topo.route.shard_of(relation)?));
         let (locked, is_locked) = mpsc::channel();
         let (hang_up, hung_up) = mpsc::channel::<()>();
         let holder = std::thread::spawn(move || {
@@ -651,18 +650,15 @@ impl Service {
 
     /// Test hook: drain the engines' shared read-trace sink (enable it
     /// with [`Engine::set_read_trace`] before constructing the
-    /// service). All shards share one sink `Arc`, so draining any live
+    /// service). All shards share one sink `Arc`, so draining the first
     /// shard drains them all — used by the footprint-conformance tests
     /// to assert a commit read only relations inside its locked shards.
     #[doc(hidden)]
     pub fn debug_take_read_trace(&self) -> BTreeSet<String> {
         let topo = self.topology();
-        for shard in &topo.shards {
-            if let Some(engine) = shard.write().as_mut() {
-                return engine.take_read_trace();
-            }
-        }
-        BTreeSet::new()
+        let mut slot = topo.shards.first().map(|shard| shard.write());
+        let engine = slot.as_mut().and_then(|slot| slot.as_mut());
+        engine.map_or_else(BTreeSet::new, Engine::take_read_trace)
     }
 
     /// Publish every shard in a commit's footprint at `seq`: capture
@@ -676,7 +672,7 @@ impl Service {
                 (*id, Arc::new(ShardSnapshot::capture(engine, seq)))
             })
             .collect();
-        let _published = self.inner.published.publish(images, None);
+        self.publish(|current| current.with_images(images));
     }
 
     /// Number of committed transactions (autocommit scripts, batch
@@ -743,7 +739,7 @@ impl Service {
                     tx.view().to_owned(),
                 )));
             };
-            let shard = &topo.shards[id.index()];
+            let shard = topo.shard(id);
             shard.enqueue(Arc::clone(&tx))?;
             let slot = shard.write();
             if slot.is_none() {
@@ -784,7 +780,7 @@ impl Service {
     /// `shard` (`None` on an in-memory service).
     pub(crate) fn epoch_wal<'t>(&self, topo: &'t Topology, shard: LockId) -> Option<EpochWal<'t>> {
         let fsync = self.inner.wal.as_ref()?.fsync;
-        let writer = topo.shards[shard.index()].writer.as_deref()?;
+        let writer = topo.shard(shard).writer.as_ref()?;
         Some(EpochWal { writer, fsync })
     }
 
@@ -943,9 +939,9 @@ impl Service {
         let mut defs: Vec<ViewDef> = Vec::new();
         let mut closed_segments: Vec<PathBuf> = Vec::new();
         let mut sealed = Vec::new();
-        for (index, shard) in topo.shards.iter().enumerate() {
+        for shard in &topo.shards {
             let slot = shard.write();
-            let image = Arc::clone(self.inner.published.load().shard(LockId::new(index)));
+            let image = Arc::clone(self.generation().image(shard.id));
             if let Some(engine) = slot.as_ref() {
                 defs.extend(engine.view_definitions().iter().map(def_to_wal));
             }
@@ -984,10 +980,24 @@ impl Service {
         })
         .map_err(|e| ServiceError::Durability(format!("checkpoint snapshot: {e}")))?;
         // Phase 3 — the snapshot is durable and renamed in: the closed
-        // segments are now redundant. A crash anywhere in this phase
-        // merely leaves covered records around, which recovery filters
-        // (seq ≤ watermark) or replays idempotently.
-        for path in closed_segments {
+        // segments are now redundant, and so is every series no live
+        // shard owns (a retired shard's, or one a previous run left): it
+        // takes appends only under the registration lock we hold, so
+        // each of its records has seq ≤ watermark. A crash anywhere in
+        // this phase merely leaves covered records around, which
+        // recovery filters (seq ≤ watermark) or replays idempotently.
+        let segments = birds_wal::segment::scan_segments(&wal.data_dir)
+            .map_err(|e| ServiceError::Durability(format!("wal scan: {e}")))?;
+        let dead = segments
+            .into_iter()
+            .filter(|segment| {
+                !topo
+                    .shards
+                    .iter()
+                    .any(|shard| shard.id.index() == segment.shard)
+            })
+            .map(|segment| segment.path);
+        for path in closed_segments.into_iter().chain(dead) {
             std::fs::remove_file(&path)
                 .map_err(|e| ServiceError::Durability(format!("wal truncate: {e}")))?;
         }
@@ -1021,7 +1031,7 @@ impl Service {
     /// commits on every other shard proceed throughout. The affected
     /// engines are merged, the view is registered and materialized, the
     /// component is re-split, a [`WalRecord::Register`] is appended
-    /// (durable services), and the successor topology is swapped in.
+    /// (durable services), and the successor generation is stored.
     /// Returns the registration's commit seq.
     ///
     /// Failures leave the service exactly as it was; see the error
@@ -1122,7 +1132,7 @@ impl Service {
         // Pre-checks against the published catalogue — no lock taken,
         // and the registration lock guarantees no concurrent
         // registration invalidates them before we quiesce.
-        let published = self.inner.published.load();
+        let published = self.generation();
         if published.relation(&name).is_some() {
             return Err(if published.is_view(&name) {
                 ServiceError::ViewExists(name)
@@ -1210,7 +1220,7 @@ impl Service {
         let topo = self.topology();
         // Pre-check against the published catalogue, like registration:
         // the registration lock keeps it current until we quiesce.
-        let is_view = self.inner.published.load().is_view(view);
+        let is_view = self.generation().is_view(view);
         let Some(shard) = topo.route.shard_of(view).filter(|_| is_view) else {
             return Err(ServiceError::Engine(EngineError::NotAView(view.to_owned())));
         };
@@ -1262,19 +1272,21 @@ impl Service {
         }
     }
 
-    /// Build and swap in the successor topology — the registration's
+    /// Build and store the successor generation — the registration's
     /// pass through the commit bracket: take a commit seq, split
-    /// `merged`, open a WAL writer for each shard index past the old
-    /// end, log `record(seq)`, then publish the successor snapshot and
-    /// swap in the successor topology (`Topology::successor`) under the
-    /// publication lock. Returns the seq.
+    /// `merged` into new shards under fresh ids, open each one's WAL
+    /// segment series, log `record(seq)`, then store the successor
+    /// ([`ServiceSnapshot::successor`]: the retired shards leave, the
+    /// new ones join with their images tagged `seq`) in one store.
+    /// Returns the seq.
     ///
     /// On failure (WAL segment open or record append) **nothing is
     /// installed** and nothing durable was written: the re-merged engine
     /// is `unwind`-ed back to its pre-call shape and reseated into the
     /// still-held guards — installing a registration whose WAL record
     /// never landed would strand every later commit on these shards
-    /// behind a record recovery cannot replay.
+    /// behind a record recovery cannot replay. The series opened for
+    /// the fresh ids hold no record; the next checkpoint deletes them.
     fn install_successor(
         &self,
         topo: &Topology,
@@ -1287,23 +1299,23 @@ impl Service {
         let seq = self.next_commit_seq();
         let record = record(seq);
         let components = merged.split_components();
-        let mut fresh_writers = Vec::new();
+        let ids: Vec<LockId> = topo.fresh_ids().take(components.len()).collect();
+        let mut writers = Vec::new();
         if let Some(wal) = &self.inner.wal {
-            let old_len = topo.shards.len();
-            let new_len = old_len + components.len().saturating_sub(retired.len());
             // Log the registration like any epoch's record — to the
             // lowest locked (= first retired) shard's writer: its
             // segment series already holds every earlier record of that
             // shard, the shard's locks are held (no concurrent append),
             // and seq exceeds every seq previously logged there —
             // per-shard monotonicity is preserved. The record must be
-            // durable *before* the swap: after the swap, commits through
-            // the new view would be unreplayable without it.
-            let logged = (old_len..new_len)
-                .map(|index| wal.open_writer(index))
+            // durable *before* the store: after it, commits through the
+            // new view would be unreplayable without it.
+            let logged = ids
+                .iter()
+                .map(|id| wal.open_writer(*id))
                 .collect::<ServiceResult<_>>()
-                .and_then(|writers| {
-                    fresh_writers = writers;
+                .and_then(|opened| {
+                    writers = opened;
                     self.epoch_wal(topo, retired[0])
                         .map_or(Ok(()), |wal| wal.log(&[record]))
                 });
@@ -1315,21 +1327,16 @@ impl Service {
                 return Err(e);
             }
         }
-        let (successor, images) = topo.successor(&retired, components, fresh_writers, seq);
-        // One store under the publication lock, with the topology
-        // swapped before it is released: a reader sees either
-        // generation in full, and a view it sees is already writable.
-        // A survivor publishing concurrently keeps its entry whichever
-        // of the two stores comes first.
-        let _published = self
-            .inner
-            .published
-            .publish(images, Some(Arc::clone(&successor.route)));
-        *self
-            .inner
-            .topology
-            .write()
-            .unwrap_or_else(PoisonError::into_inner) = Arc::new(successor);
+        let mut writers = writers.into_iter();
+        let fresh: Vec<_> = ids
+            .into_iter()
+            .zip(components)
+            .map(|(id, component)| Shard::new(id, component, writers.next(), seq))
+            .collect();
+        // One store: a reader sees either generation in full, a view it
+        // sees is already writable, and a survivor publishing
+        // concurrently keeps its entry whichever store comes first.
+        self.publish(|current| current.successor(&retired, &fresh));
         Ok(seq)
     }
 }
@@ -1713,7 +1720,8 @@ mod tests {
     /// autocommit, batch, registration — surfaces as `Durability` and
     /// makes the shared post-commit hook attempt exactly one heal.
     ///
-    /// The rig: with one-byte segments every append past the first
+    /// The rig: after one commit, the shard's writer is swapped for one
+    /// over the same series with one-byte segments, so the next append
     /// rotates, and the next segment's name is already taken (rotation
     /// opens with `create_new`), so the append fails for real and seals
     /// the writer; `snapshot.bin` is a non-empty directory, so the
@@ -1748,12 +1756,14 @@ mod tests {
             ));
             let _ = std::fs::remove_dir_all(&dir);
             let mut durability = DurabilityConfig::new(&dir);
-            durability.segment_bytes = 1;
             durability.checkpoint_every = None;
             let service = Service::open(union_engine(), ServiceConfig::default(), durability);
             let service = service.unwrap();
             let mut session = service.session();
             session.execute("INSERT INTO v VALUES (50);").unwrap();
+            let topo = service.topology();
+            let writer = topo.shards[0].writer.as_ref().unwrap();
+            *writer.lock().unwrap() = SegmentWriter::open(&dir, 0, 1).unwrap();
             std::fs::write(dir.join("wal").join("shard-0000.000001.wal"), b"taken").unwrap();
             std::fs::create_dir_all(dir.join(birds_wal::SNAPSHOT_FILE).join("blocker")).unwrap();
 
@@ -1947,7 +1957,7 @@ mod tests {
         let successor = service.topology();
         let shard_of_v = |topo: &Topology| {
             let id = topo.route.shard_of("v").unwrap();
-            Arc::clone(&topo.shards[id.index()])
+            Arc::clone(topo.shard(id))
         };
         assert!(!Arc::ptr_eq(&shard_of_v(&retired), &shard_of_v(&successor)));
         assert!(service.query("v").unwrap().contains(&tuple![7]));

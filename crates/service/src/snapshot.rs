@@ -1,11 +1,14 @@
 //! MVCC snapshots: the lock-free read side of the service.
 //!
-//! The service publishes one [`ServiceSnapshot`]: an `Arc` per shard to
-//! the shard's latest [`ShardSnapshot`] — an immutable image of its
-//! relations ([`RelationVersion`]s, `Arc`-shared version buffers)
-//! tagged with the shard's **high-water commit seq** — plus the routing
-//! table of the generation that published it. One `RwLock<Arc<_>>`
-//! holds it; every read loads that pointer and nothing else.
+//! The service publishes one [`ServiceSnapshot`], and it is the whole
+//! of one generation: the live shards and their routing table
+//! (`crate::topology`), plus an `Arc` per live shard to its latest
+//! [`ShardSnapshot`] — an immutable image of its relations
+//! ([`RelationVersion`]s, `Arc`-shared version buffers) tagged with the
+//! shard's **high-water commit seq**. One `RwLock<Arc<_>>` holds it.
+//! Every read loads that pointer and nothing else; every writer loads
+//! it to take the shard half out, and every commit and re-shard stores
+//! a new one.
 //!
 //! ## Visibility rule
 //!
@@ -22,24 +25,28 @@
 //! section around an `Arc` clone, never a shard's engine lock — and
 //! then work entirely against the immutable image. Writers capture
 //! their shards' images under their shard locks, then take the write
-//! lock only to copy the vector of shard `Arc`s, replace their own
-//! entries and store the result. The engine's left-right versioned
-//! tuple sets ([`birds_store::Relation`]) make capture `O(delta)`, not
-//! `O(tuples)`: an epoch that touched two relations replays its ops
-//! into their shadow buffers and re-shares every untouched one.
+//! lock only to copy the vector of image `Arc`s, replace their own
+//! entries (found by shard id) and store the result. A re-shard stores
+//! its successor the same way: retired shards and their images leave,
+//! new ones join, survivors keep their entries. The engine's
+//! left-right versioned tuple sets ([`birds_store::Relation`]) make
+//! capture `O(delta)`, not `O(tuples)`: an epoch that touched two
+//! relations replays its ops into their shadow buffers and re-shares
+//! every untouched one.
 //!
 //! ## Cross-shard consistency
 //!
 //! A multi-shard commit replaces all of its entries in one store, so no
 //! reader ever sees half of it. Each publisher copies the vector under
-//! the write lock, so commits on disjoint shards never drop each
-//! other's entries.
+//! the write lock, so commits on disjoint shards — and a re-shard
+//! beside them — never drop each other's entries. The route and the
+//! images are stored together, so a view a reader can see is already
+//! writable.
 
-use crate::footprint::ShardMap;
-use crate::topology::LockId;
+use crate::topology::{LockId, Shard, Topology};
 use birds_engine::Engine;
 use birds_store::RelationVersion;
-use std::sync::{Arc, PoisonError, RwLock, RwLockWriteGuard};
+use std::sync::Arc;
 
 /// An immutable image of one shard's relations at a commit boundary.
 ///
@@ -72,19 +79,6 @@ impl ShardSnapshot {
             commit_seq,
             relations: engine.relation_versions(),
             views: engine.view_names().map(str::to_owned).collect(),
-        }
-    }
-
-    /// An empty image — what a *retired* shard slot publishes after a
-    /// live re-shard moved its relations elsewhere. No route entry ever
-    /// points at a retired slot, so the image is unreachable through
-    /// normal reads; it keeps the published vector indexed by
-    /// [`LockId`].
-    pub(crate) fn empty(commit_seq: u64) -> ShardSnapshot {
-        ShardSnapshot {
-            commit_seq,
-            relations: Vec::new(),
-            views: Vec::new(),
         }
     }
 
@@ -121,41 +115,87 @@ impl ShardSnapshot {
 }
 
 /// A consistent, pinnable, lock-free view over every shard: what
-/// [`crate::Service::snapshot`] returns.
+/// [`crate::Service::snapshot`] returns, and the one value the service
+/// publishes.
 ///
 /// Loading it takes no shard lock and never retries: every publication
 /// stores a whole new snapshot. The result is an owned value: keep it
 /// as long as you like; it observes none of the commits that happen
 /// after it was loaded.
 pub struct ServiceSnapshot {
-    /// One image per shard slot, indexed by [`LockId`].
-    shards: Vec<Arc<ShardSnapshot>>,
-    route: Arc<ShardMap>,
+    /// The live shards and their routing table — all a writer needs,
+    /// and all it holds: a writer pins no image.
+    pub(crate) topology: Arc<Topology>,
+    /// Each live shard's latest image, in `topology.shards` order.
+    pub(crate) images: Vec<Arc<ShardSnapshot>>,
 }
 
 impl ServiceSnapshot {
-    /// The image of shard `id`.
-    pub(crate) fn shard(&self, id: LockId) -> &Arc<ShardSnapshot> {
-        &self.shards[id.index()]
+    /// A copy of this snapshot (copies of its `Arc`s).
+    pub(crate) fn copy(&self) -> ServiceSnapshot {
+        ServiceSnapshot {
+            topology: Arc::clone(&self.topology),
+            images: self.images.clone(),
+        }
+    }
+
+    /// The image of the live shard `id`.
+    pub(crate) fn image(&self, id: LockId) -> &Arc<ShardSnapshot> {
+        &self.images[self.topology.position(id).expect("a live shard id")]
+    }
+
+    /// This generation with the images of `published` replaced: what a
+    /// commit stores. Every id is live — the commit holds its shards'
+    /// locks, so no re-shard retired them.
+    pub(crate) fn with_images(
+        &self,
+        published: impl IntoIterator<Item = (LockId, Arc<ShardSnapshot>)>,
+    ) -> ServiceSnapshot {
+        let mut images = self.images.clone();
+        for (id, image) in published {
+            images[self
+                .topology
+                .position(id)
+                .expect("a commit's shards are live")] = image;
+        }
+        ServiceSnapshot {
+            topology: Arc::clone(&self.topology),
+            images,
+        }
+    }
+
+    /// The successor generation of a re-shard
+    /// ([`Topology::successor`]): the survivors keep their current
+    /// images, and each `fresh` shard brings its first one.
+    pub(crate) fn successor(
+        &self,
+        retired: &[LockId],
+        fresh: &[(Arc<Shard>, Arc<ShardSnapshot>)],
+    ) -> ServiceSnapshot {
+        let (topology, images) = self.topology.successor(&self.images, retired, fresh);
+        let topology = Arc::new(topology);
+        ServiceSnapshot { topology, images }
     }
 
     /// Read access to any relation (base table or materialized view);
     /// `None` for names no shard owns.
     pub fn relation(&self, name: &str) -> Option<&RelationVersion> {
-        self.shard(self.route.shard_of(name)?).relation(name)
+        self.image(self.topology.route.shard_of(name)?)
+            .relation(name)
     }
 
     /// Is `name` a registered updatable view?
     pub fn is_view(&self, name: &str) -> bool {
-        self.route
+        self.topology
+            .route
             .shard_of(name)
-            .is_some_and(|shard| self.shard(shard).is_view(name))
+            .is_some_and(|shard| self.image(shard).is_view(name))
     }
 
     /// Names of all registered views, in name order.
     pub fn view_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self
-            .shards
+            .images
             .iter()
             .flat_map(|shard| shard.view_names().map(str::to_owned))
             .collect();
@@ -166,7 +206,7 @@ impl ServiceSnapshot {
     /// Iterate every relation across all shards (shard-internal name
     /// order; not globally sorted).
     pub fn relations(&self) -> impl Iterator<Item = &RelationVersion> {
-        self.shards.iter().flat_map(|shard| shard.relations())
+        self.images.iter().flat_map(|shard| shard.relations())
     }
 
     /// The snapshot's overall high-water commit seq (the max over its
@@ -176,58 +216,9 @@ impl ServiceSnapshot {
         self.shard_seqs().into_iter().max().unwrap_or(0)
     }
 
-    /// Per-shard high-water commit seqs, in shard (lock-id) order.
+    /// Per-shard high-water commit seqs, one per live shard, in
+    /// lock-id order.
     pub fn shard_seqs(&self) -> Vec<u64> {
-        self.shards.iter().map(|shard| shard.commit_seq()).collect()
-    }
-}
-
-/// The service's one published snapshot. The `RwLock` guards only the
-/// `Arc` pointer — a reader clones it, a publisher copies the vector of
-/// shard `Arc`s and stores a new one, never engine work — so a reader is
-/// never blocked by a writer holding a shard's engine lock. Publishers
-/// take it after their shard locks, never before.
-pub(crate) struct Published(RwLock<Arc<ServiceSnapshot>>);
-
-impl Published {
-    pub(crate) fn new(shards: Vec<Arc<ShardSnapshot>>, route: Arc<ShardMap>) -> Published {
-        Published(RwLock::new(Arc::new(ServiceSnapshot { shards, route })))
-    }
-
-    /// The current snapshot (an `Arc` clone).
-    pub(crate) fn load(&self) -> Arc<ServiceSnapshot> {
-        Arc::clone(&self.0.read().unwrap_or_else(PoisonError::into_inner))
-    }
-
-    /// The current snapshot as an owned value (copies of its `Arc`s).
-    pub(crate) fn snapshot(&self) -> ServiceSnapshot {
-        let current = self.load();
-        let (shards, route) = (current.shards.clone(), Arc::clone(&current.route));
-        ServiceSnapshot { shards, route }
-    }
-
-    /// Replace the entries of `images` in one store, and the routing
-    /// table too when a re-shard passes its successor `route`. Ids past
-    /// the current end (a re-shard's fresh slots) come in ascending
-    /// order. The copy is made under the write lock, so concurrent
-    /// publishers on disjoint shards keep each other's entries. The
-    /// lock is returned still held: a re-shard swaps its topology under
-    /// it, so no reader finds a route that writers cannot use yet.
-    pub(crate) fn publish(
-        &self,
-        images: impl IntoIterator<Item = (LockId, Arc<ShardSnapshot>)>,
-        route: Option<Arc<ShardMap>>,
-    ) -> RwLockWriteGuard<'_, Arc<ServiceSnapshot>> {
-        let mut current = self.0.write().unwrap_or_else(PoisonError::into_inner);
-        let mut shards = current.shards.clone();
-        for (id, image) in images {
-            match shards.get_mut(id.index()) {
-                Some(entry) => *entry = image,
-                None => shards.push(image),
-            }
-        }
-        let route = route.unwrap_or_else(|| Arc::clone(&current.route));
-        *current = Arc::new(ServiceSnapshot { shards, route });
-        current
+        self.images.iter().map(|shard| shard.commit_seq()).collect()
     }
 }

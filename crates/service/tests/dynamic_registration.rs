@@ -11,7 +11,8 @@ use birds_engine::{Engine, StrategyMode};
 use birds_service::{DurabilityConfig, LocalClient, Service, ServiceConfig, ServiceError};
 use birds_store::{tuple, Database, DatabaseSchema, Relation, Schema, SortKind, Tuple};
 use birds_wal::FsyncPolicy;
-use std::path::PathBuf;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -491,4 +492,105 @@ fn an_autocommit_racing_unregister_ends_ok_or_not_a_view() {
         submitter.join().unwrap();
     }
     assert_eq!(outcomes.iter().sum::<usize>(), 50, "{outcomes:?}");
+}
+
+/// The series numbers of the WAL segments in `dir`.
+fn wal_series(dir: &Path) -> BTreeSet<usize> {
+    let segments = birds_wal::segment::scan_segments(dir).unwrap();
+    segments.into_iter().map(|segment| segment.shard).collect()
+}
+
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let target = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_dir(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), target).unwrap();
+        }
+    }
+}
+
+/// Views, commit count and every relation's rows.
+type Contents = (Vec<String>, u64, Vec<(String, Vec<Tuple>)>);
+
+fn contents(service: &Service) -> Contents {
+    let relations = service
+        .relation_stats()
+        .into_iter()
+        .map(|stats| (stats.name.clone(), sorted(service, &stats.name)))
+        .collect();
+    (service.view_names(), service.commits(), relations)
+}
+
+/// A re-shard drops the shards it retires. After 20 register/unregister
+/// cycles of `w = p ∪ q` on a durable service, the published snapshot
+/// has one entry per live shard, a checkpoint leaves the WAL series of
+/// exactly the live shards, and a reopen equals memory from the
+/// directory as it was both before and after that checkpoint. A
+/// restart into fewer shards leaves the previous run's other series
+/// behind, and its first checkpoint deletes them.
+#[test]
+fn re_shard_cycles_keep_only_live_shards_and_their_wal_series() {
+    const CYCLES: i64 = 20;
+    let dir = temp_dir("cycles");
+    let before_checkpoint = temp_dir("cycles-before-checkpoint");
+    let open = |dir: &Path| {
+        let mut config = DurabilityConfig::new(dir);
+        config.checkpoint_every = None;
+        Service::open(engine_with_free_tables(1), ServiceConfig::default(), config).unwrap()
+    };
+    let service = open(&dir);
+    for cycle in 0..CYCLES {
+        service
+            .register_view(union_strategy("w", "p", "q"), StrategyMode::Incremental)
+            .unwrap();
+        let mut session = service.session();
+        session
+            .execute(&format!("INSERT INTO w VALUES ({});", 100 + cycle))
+            .unwrap();
+        session
+            .execute(&format!("INSERT INTO v0 VALUES ({});", 100 + cycle))
+            .unwrap();
+        service.unregister_view("w").unwrap();
+    }
+    assert_eq!(service.shard_count(), 3); // v0's component, p, q
+    assert_eq!(service.snapshot().shard_seqs().len(), service.shard_count());
+
+    copy_dir(&dir, &before_checkpoint);
+    service.checkpoint().unwrap();
+    assert_eq!(wal_series(&dir).len(), service.shard_count());
+    let memory = contents(&service);
+    assert_eq!(
+        contents(&open(&before_checkpoint)),
+        memory,
+        "a reopen without the checkpoint"
+    );
+
+    // End with `w` registered: two shards, v0's and w's.
+    service
+        .register_view(union_strategy("w", "p", "q"), StrategyMode::Incremental)
+        .unwrap();
+    service
+        .session()
+        .execute("INSERT INTO w VALUES (7);")
+        .unwrap();
+    let memory = contents(&service);
+    drop(service);
+    let reopened = open(&dir);
+    assert_eq!(contents(&reopened), memory, "a reopen after the checkpoint");
+    assert_eq!(reopened.shard_count(), 2);
+    reopened.checkpoint().unwrap();
+    assert_eq!(
+        wal_series(&dir),
+        BTreeSet::from([0, 1]),
+        "orphan series remain"
+    );
+    assert_eq!(contents(&reopened), memory);
+    drop(reopened);
+    assert_eq!(contents(&open(&dir)), memory);
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&before_checkpoint).unwrap();
 }
