@@ -28,10 +28,11 @@
 //!
 //! Durability: `--data-dir DIR` makes the database survive restarts —
 //! every commit is written ahead to a per-shard WAL under `DIR/wal/`
-//! before it is acknowledged, `--fsync always|epoch|off` picks the
-//! flush policy (default `epoch`: one fdatasync per group-commit
-//! epoch), and `--checkpoint-every N` snapshots-then-truncates the log
-//! every N commits (default 1024; 0 disables automatic checkpoints). A
+//! before it is acknowledged, `--fsync epoch|off` picks the flush
+//! policy (default `epoch`: one fdatasync per group-commit epoch; the
+//! old `always` is refused with a pointer to `epoch`), and
+//! `--checkpoint-every N` snapshots-then-truncates the log every N
+//! commits (default 1024; 0 disables automatic checkpoints). A
 //! checkpoint also deletes the segment series of shards that a
 //! `register`/`unregister` re-shard retired, and those a previous run
 //! left.
@@ -112,7 +113,7 @@ fn main() {
                 eprintln!(
                     "usage: birds-serve [--listen ADDR] [--workers N] [--max-conns N]\n\
                      \x20                 [--exit-after N] [--max-line BYTES]\n\
-                     \x20                 [--data-dir DIR] [--fsync always|epoch|off]\n\
+                     \x20                 [--data-dir DIR] [--fsync epoch|off]\n\
                      \x20                 [--checkpoint-every N] [--strategy FILE]\n\
                      \x20      birds-serve --connect ADDR   (client mode, script on stdin)"
                 );

@@ -75,8 +75,8 @@ pub(crate) struct EpochWal<'a> {
 impl EpochWal<'_> {
     /// Log-then-sync, the only way a record reaches the WAL: append
     /// `records` in order under one writer-mutex tenure, then run the
-    /// epoch-end sync when the policy defers to epoch granularity (one
-    /// `fdatasync` covers the whole epoch — the group-commit durability
+    /// epoch-end sync unless the policy is `off` (one `fdatasync`
+    /// covers the whole epoch — the group-commit durability
     /// amortization). The epoch is the unit of durability: the first
     /// failure is the epoch's result (every record is still attempted,
     /// so whatever the log accepted stays replayable).
@@ -95,7 +95,7 @@ impl EpochWal<'_> {
             let appended = writer.append(record, self.fsync);
             logged = logged.and(appended.map_err(|e| format!("wal append failed: {e}")));
         }
-        if self.fsync.sync_each_epoch() && !self.fsync.sync_each_record() {
+        if self.fsync.sync_each_epoch() {
             logged = logged.and(writer.sync().map_err(|e| format!("wal sync failed: {e}")));
         }
         logged.map_err(ServiceError::Durability)

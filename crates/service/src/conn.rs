@@ -134,6 +134,12 @@ impl LineFramer {
     }
 }
 
+/// A connection's autocommit `execute`s — each script with its request
+/// id — waiting in the pool queue as one job: the reactor appends while
+/// the job waits (`Some`), the worker that pops the job takes them
+/// (`None` again).
+pub(crate) type AutocommitRun = Mutex<Option<Vec<(String, Option<Json>)>>>;
+
 /// Where a connection is in its lifecycle.
 pub(crate) enum ConnPhase {
     /// Reading and serving requests.
@@ -181,7 +187,14 @@ pub(crate) struct Conn {
     /// idle): every request of the run is unanswered until the run's
     /// completion arrives.
     pub session_in_flight: usize,
-    /// Stateless-lane jobs currently on the worker pool.
+    /// The connection's autocommit job while it waits in the pool queue
+    /// (shared with that job).
+    pub autocommits: Arc<AutocommitRun>,
+    /// An autocommit job was opened during this read and is pushed to
+    /// the pool when the read's frames are routed.
+    pub autocommits_unpushed: bool,
+    /// Stateless-lane requests (autocommits included) handed to the
+    /// worker pool and not yet answered.
     pub stateless_in_flight: usize,
     pub phase: ConnPhase,
     /// The epoll interest bits currently registered for this socket.
@@ -199,6 +212,8 @@ impl Conn {
             in_batch_parsed: false,
             session_queue: VecDeque::new(),
             session_in_flight: 0,
+            autocommits: Arc::default(),
+            autocommits_unpushed: false,
             stateless_in_flight: 0,
             phase: ConnPhase::Open,
             interest: 0,

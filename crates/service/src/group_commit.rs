@@ -1,10 +1,10 @@
-//! Group commit: the per-shard queue that turns concurrent autocommit
+//! Group commit: the per-shard queue that turns queued autocommit
 //! transactions into one epoch of the commit pipeline.
 //!
 //! Clients that never call `begin`/`commit` would otherwise pay one
-//! strategy evaluation per statement. Each shard has a queue
-//! (`crate::topology`); an autocommit transaction enqueues itself and
-//! the first submitter to win the shard's write lock becomes the
+//! strategy evaluation and one WAL sync per statement. Each shard has a
+//! queue (`crate::topology`); an autocommit transaction enqueues itself
+//! and the first submitter to win the shard's write lock becomes the
 //! **epoch leader**: it drains everything queued at that moment and
 //! hands it, as the members of one epoch, to the commit pipeline
 //! (`crate::commit`) — the same bracket a session batch and a
@@ -16,11 +16,22 @@
 //! (arXiv:1809.10559) fixes its epochs' length in time instead; an
 //! epoch bounded by lock tenure has no window to tune.
 //!
-//! A submitter leads on the shard it queued in. When it wins that
-//! shard's lock and finds the slot retired by a live re-shard, it takes
-//! its transaction back out of the queue and resubmits against the
+//! What queues together comes from two sources: concurrent submitters,
+//! and one submitter's run. A reactor worker queues a connection's
+//! waiting autocommits as one run (`Service::enqueue_autocommits`)
+//! before any of the run's shards is led, so the run's transactions on
+//! one shard are members of one epoch even with a single worker. A
+//! session's autocommit is the one-element run.
+//!
+//! Each shard a run queued in is a `QueuedEpoch`, led by one blocking
+//! acquisition of that shard's lock (`Service::lead_autocommits`); a
+//! worker leads one and hands the others to the pool, so the shards of
+//! a run are led independently. When a leader wins a shard's lock and
+//! finds the slot retired by a live re-shard, it takes its
+//! transactions back out of the queue and resubmits them against the
 //! current topology; a transaction no longer queued was drained by a
-//! leader before the retirement and already has its result.
+//! leader before the retirement and already has its result. An epoch
+//! dropped unled (a panic) takes its transactions back the same way.
 //!
 //! This module owns only the member type; what an epoch *means*
 //! (coalescing, seq assignment, WAL record granularity, the

@@ -25,9 +25,11 @@
 //!   durability and visibility, and a batch is an epoch with one member.
 //! * [`group_commit`] — autocommit transactions queue per shard and the
 //!   first submitter to win the shard lock leads the whole queue through
-//!   the pipeline as one epoch (one *net* delta per view), giving
-//!   batch-level throughput to clients that never call `begin`/`commit`
-//!   (Obladi-style epochs, each as long as its leader's lock tenure).
+//!   the pipeline as one epoch (one *net* delta per view, one WAL
+//!   record, one sync), giving batch-level throughput to clients that
+//!   never call `begin`/`commit` (Obladi-style epochs, each as long as
+//!   its leader's lock tenure). A connection's pipelined autocommits
+//!   queue together, so they share an epoch per shard.
 //! * [`snapshot`] — **MVCC snapshot reads**. The service publishes one
 //!   [`ServiceSnapshot`] behind one copy-on-write pointer, and it is the
 //!   whole generation: the live shards, their routing table and an

@@ -11,7 +11,7 @@
 //! | `{"op":"commit"}`                         | `{"ok":true,"commit_seq":n,"statements":n,…}`                 |
 //! | `{"op":"rollback"}`                       | `{"ok":true,"discarded":n}`                                   |
 //! | `{"op":"query","relation":"v"}`           | `{"ok":true,"relation":"v","tuples":[[…],…]}`                 |
-//! | `{"op":"stats"}`                          | `{"ok":true,"commits":n,"views":[…],"relations":[…]}`         |
+//! | `{"op":"stats"}`                          | `{"ok":true,"commits":n,"wal_syncs":n,"views":[…],…}`         |
 //! | `{"op":"checkpoint"}`                     | `{"ok":true,"watermark":n}` (durable servers only)            |
 //! | `{"op":"register",…}`                     | `{"ok":true,"registered":"v","commit_seq":n,"shards":n}`      |
 //! | `{"op":"unregister","view":"v"}`          | `{"ok":true,"unregistered":"v","commit_seq":n,"shards":n}`    |
@@ -65,11 +65,16 @@
 //! * **Independent requests may complete in any order.** `ping`,
 //!   `query`, `stats`, `checkpoint`, and autocommit `execute` (each its
 //!   own transaction) execute concurrently on a worker pool — a slow
-//!   query on one shard does not delay a fast query on another, even on
-//!   the same connection. A pipelining client that needs
-//!   read-your-writes must await the write's response before issuing
-//!   the read (or wrap both in a `begin`…`commit` batch, which is
-//!   FIFO).
+//!   query or autocommit on one shard does not delay a fast query or
+//!   autocommit on another, even on the same connection. A
+//!   connection's autocommits that wait for a worker together travel
+//!   as one job and share one epoch per shard (one WAL record, one
+//!   sync); the job's worker leads one shard and hands each other
+//!   shard to the pool as a job of its own, so each shard's answers
+//!   still go out as soon as its epoch ends, whichever shard frees
+//!   first. A pipelining client that needs read-your-writes must await
+//!   the write's response before issuing the read (or wrap both in a
+//!   `begin`…`commit` batch, which is FIFO).
 //! * **`quit` is a barrier.** Every previously accepted request on the
 //!   connection answers first; the `bye` is always the connection's
 //!   last response. Requests pipelined *after* a `quit` are dropped.
@@ -89,11 +94,13 @@
 //! `Str` → string, `Bool` → boolean.
 
 use crate::error::ServiceError;
+use crate::group_commit::PendingTx;
 use crate::json::Json;
-use crate::service::{CommitOutcome, ExecOutcome, Service, Session};
+use crate::service::{parse_dml, CommitOutcome, ExecOutcome, Service, Session};
 use birds_core::UpdateStrategy;
 use birds_engine::{ExecutionStats, StrategyMode};
 use birds_store::{DatabaseSchema, Schema, SortKind, Tuple, Value};
+use std::sync::Arc;
 
 /// A decoded protocol request.
 #[derive(Debug, Clone, PartialEq)]
@@ -651,6 +658,13 @@ pub fn commit_response(outcome: &CommitOutcome) -> Json {
     ok(fields)
 }
 
+/// The reply to an autocommit `execute` that applied.
+fn applied_response(stats: &ExecutionStats) -> Json {
+    let mut fields = vec![("applied".to_owned(), Json::Bool(true))];
+    fields.extend(stats_fields(stats));
+    ok(fields)
+}
+
 /// Dispatch one decoded request against a session, producing the reply
 /// object. `Quit` replies with `bye` — the transport decides to close.
 /// Shared by the TCP server and the in-process [`crate::LocalClient`],
@@ -659,11 +673,7 @@ pub fn dispatch(session: &mut Session, request: &Request) -> Json {
     let result: Result<Json, ServiceError> = match request {
         Request::Ping => Ok(ok(vec![("pong".to_owned(), Json::Bool(true))])),
         Request::Execute { sql } => session.execute(sql).map(|outcome| match outcome {
-            ExecOutcome::Applied(stats) => {
-                let mut fields = vec![("applied".to_owned(), Json::Bool(true))];
-                fields.extend(stats_fields(&stats));
-                ok(fields)
-            }
+            ExecOutcome::Applied(stats) => applied_response(&stats),
             ExecOutcome::Buffered(pending) => {
                 ok(vec![("buffered".to_owned(), Json::Int(pending as i64))])
             }
@@ -777,6 +787,10 @@ fn stats_response(service: &Service, pending: usize) -> Json {
         .collect();
     ok(vec![
         ("commits".to_owned(), Json::Int(service.commits() as i64)),
+        (
+            "wal_syncs".to_owned(),
+            Json::Int(service.wal_syncs() as i64),
+        ),
         ("pending".to_owned(), Json::Int(pending as i64)),
         ("shards".to_owned(), Json::Int(shards as i64)),
         ("views".to_owned(), Json::Arr(views)),
@@ -803,6 +817,30 @@ pub(crate) fn stateless_response(service: &Service, request: &Request, pending: 
             let mut scratch = service.session();
             dispatch(&mut scratch, request)
         }
+    }
+}
+
+/// An autocommit `execute` ready for its shard's group-commit queue,
+/// or the reply it gets without one: an empty script applies at once,
+/// a malformed or multi-view one fails. Parsed as [`dispatch`] parses.
+pub(crate) fn autocommit_tx(service: &Service, sql: &str) -> Result<Arc<PendingTx>, Json> {
+    let view = parse_dml(sql).and_then(|statements| {
+        let view = service.autocommit_view(&statements)?;
+        Ok(view.map(|view| PendingTx::new(vec![(view, statements)])))
+    });
+    match view {
+        Ok(Some(tx)) => Ok(tx),
+        Ok(None) => Err(applied_response(&ExecutionStats::default())),
+        Err(e) => Err(error_response(&e)),
+    }
+}
+
+/// The reply to an autocommit transaction whose epoch filled its
+/// result — the one [`dispatch`] gives.
+pub(crate) fn autocommit_reply(tx: &PendingTx) -> Json {
+    match tx.result() {
+        Ok((_, stats)) => applied_response(&stats),
+        Err(e) => error_response(&e),
     }
 }
 

@@ -9,10 +9,11 @@
 //!   and every live connection. It owns all connection state — sockets,
 //!   framers, outboxes, request lanes — so none of it needs locks.
 //! * **Worker pool**: `workers` threads popping jobs (one stateless
-//!   request, or one connection's run of session-lane requests) from a
-//!   shared queue, dispatching them against the service, and pushing the
-//!   responses back through a completion list + eventfd wakeup. Workers
-//!   never touch sockets.
+//!   request, one connection's run of autocommits or one shard's epoch
+//!   of such a run, or one connection's run of session-lane requests)
+//!   from a shared queue, dispatching them against the service, and
+//!   pushing the responses back through a completion list + eventfd
+//!   wakeup. Workers never touch sockets.
 //!
 //! ## Two-lane scheduling (the ordering contract)
 //!
@@ -31,11 +32,24 @@
 //!   pipelined in one write is thereby a handful of worker hand-offs,
 //!   not one round trip per line.
 //! * **Stateless lane** — `ping`/`query`/`stats`/`checkpoint` and
-//!   autocommit `execute` (each its own transaction through its shard's
-//!   group-commit queue, via a scratch session). These fan out to the worker
-//!   pool immediately and may complete **in any order**, across shards
-//!   and across each other. Responses echo the request `id`, so
-//!   clients correlate.
+//!   autocommit `execute`. These fan out to the worker pool and may
+//!   complete **in any order**, across shards and across each other.
+//!   Responses echo the request `id`, so clients correlate. `ping`,
+//!   `query`, `stats` and `checkpoint` go to the pool at once, one job
+//!   each. An autocommit `execute` is its own transaction, but a
+//!   connection's waiting autocommits are **one job**: the first opens
+//!   the connection's [`AutocommitRun`], pushed to the pool once the
+//!   read's frames are routed; every later one joins it while it waits
+//!   in the pool queue, and the worker that pops the job takes the run,
+//!   closing it. The worker queues every transaction of the run in its
+//!   shard's group-commit queue before any shard is led, so the run's
+//!   autocommits on one shard share one epoch — one pass per view, one
+//!   WAL record, one sync. It then leads one shard of the run (a free
+//!   one, if any) and pushes every other shard's epoch back to the pool
+//!   as a job of its own. Each epoch posts its completion as it ends,
+//!   so an autocommit parked on a contended shard holds back no answer
+//!   on another, and a run's shards are led in parallel as its
+//!   autocommits were when each was a job.
 //!
 //! `quit` (and EOF) is a barrier: no further reads, every accepted
 //! request answers first, then (for `quit`) the bye goes out last and
@@ -71,15 +85,16 @@
 //! outbox, then close. A deadline bounds the drain so a wedged request
 //! cannot hang process exit.
 
-use crate::conn::{Conn, ConnPhase, Frame};
+use crate::conn::{AutocommitRun, Conn, ConnPhase, Frame};
 use crate::error::ServiceError;
+use crate::group_commit::PendingTx;
 use crate::json::Json;
 use crate::protocol::{
-    dispatch, error_response, quit_response, salvage_id, stateless_response, with_id, Envelope,
-    Request,
+    autocommit_reply, autocommit_tx, dispatch, error_response, quit_response, salvage_id,
+    stateless_response, with_id, Envelope, Request,
 };
 use crate::server::ServerConfig;
-use crate::service::{Service, Session};
+use crate::service::{QueuedEpoch, Service, Session};
 use crate::sys::{Epoll, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -101,27 +116,71 @@ const DRAIN_DEADLINE: Duration = Duration::from_secs(10);
 const TOKEN_LISTENER: u64 = u64::MAX;
 const TOKEN_WAKEUP: u64 = u64::MAX - 1;
 
-/// Which lane a job ran on (determines completion bookkeeping).
+/// Which lane a job's answers belong to (completion bookkeeping).
 #[derive(Clone, Copy)]
 enum Lane {
     Session,
     Stateless,
 }
 
-/// Decoded requests handed to the worker pool as one unit: a single
-/// request on the stateless lane, a run of queued requests on the
-/// session lane.
+/// Decoded requests handed to the worker pool as one unit.
 struct Job {
     conn: usize,
     generation: u32,
-    lane: Lane,
-    requests: Vec<(Request, Option<Json>)>,
-    session: Arc<Mutex<Session>>,
-    pending_hint: Arc<AtomicUsize>,
+    work: Work,
 }
 
-/// A finished job's responses, one per request and in request order,
-/// routed back to the reactor.
+/// What a job asks of its worker.
+enum Work {
+    /// A run of session-lane requests, answered in order under the
+    /// connection's session lock; `pending_hint` mirrors the batch
+    /// depth for `stats`.
+    Session {
+        requests: Vec<(Request, Option<Json>)>,
+        session: Arc<Mutex<Session>>,
+        pending_hint: Arc<AtomicUsize>,
+    },
+    /// One stateless request other than an autocommit `execute`.
+    Stateless {
+        request: (Request, Option<Json>),
+        pending_hint: Arc<AtomicUsize>,
+    },
+    /// A connection's autocommit `execute`s: whatever its
+    /// [`AutocommitRun`] gathered by the time a worker pops the job.
+    Autocommits(Arc<AutocommitRun>),
+    /// One shard's epoch of an autocommit run, handed on by the worker
+    /// that queued the run.
+    Lead(Arc<QueuedRun>, QueuedEpoch),
+}
+
+impl Work {
+    fn lane(&self) -> Lane {
+        match self {
+            Work::Session { .. } => Lane::Session,
+            _ => Lane::Stateless,
+        }
+    }
+}
+
+/// A connection's autocommit run once its worker queued it: the
+/// transactions and their request ids, shared by the jobs that lead
+/// its shards.
+struct QueuedRun {
+    txs: Vec<Arc<PendingTx>>,
+    ids: Vec<Option<Json>>,
+}
+
+impl QueuedRun {
+    /// The replies of `members`, whose results are filled.
+    fn replies(&self, members: &[usize]) -> Vec<Json> {
+        let reply = |i: usize| with_id(autocommit_reply(&self.txs[i]), self.ids[i].clone());
+        members.iter().map(|&i| reply(i)).collect()
+    }
+}
+
+/// Responses routed back to the reactor: a session-lane job's, one per
+/// request and in request order; an autocommit run's in one completion
+/// per shard epoch, in any order.
 struct Completion {
     conn: usize,
     generation: u32,
@@ -129,9 +188,24 @@ struct Completion {
     responses: Vec<Json>,
 }
 
-/// How a worker runs one session-lane request: [`dispatch`], except in
+/// How a worker runs a session-lane request and leads an autocommit
+/// epoch: [`dispatch`] and [`Service::lead_autocommits`], except in
 /// tests that inject a panic.
-type Dispatch = fn(&mut Session, &Request) -> Json;
+#[derive(Clone, Copy)]
+struct Runners {
+    dispatch: fn(&mut Session, &Request) -> Json,
+    lead: Lead,
+}
+
+/// Lead one queued epoch, telling the callback which members finished.
+type Lead = fn(&Service, QueuedEpoch, &mut dyn FnMut(&[usize]));
+
+impl Runners {
+    const SERVICE: Runners = Runners {
+        dispatch,
+        lead: |service, epoch, finished| service.lead_autocommits(epoch, finished),
+    };
+}
 
 struct JobQueue {
     queue: VecDeque<Job>,
@@ -200,7 +274,7 @@ impl Shared {
 
     fn push_job(&self, job: Job) {
         #[cfg(test)]
-        if matches!(job.lane, Lane::Session) {
+        if matches!(job.work, Work::Session { .. }) {
             self.session_jobs.fetch_add(1, Ordering::Relaxed);
         }
         relock(self.jobs.lock()).queue.push_back(job);
@@ -236,66 +310,160 @@ impl Shared {
 }
 
 /// Worker thread body: pop, dispatch, complete, until the queue closes.
-fn worker_loop(service: Service, shared: Arc<Shared>, dispatch: Dispatch) {
+fn worker_loop(service: Service, shared: Arc<Shared>, runners: Runners) {
     while let Some(job) = shared.pop_job() {
-        let responses = execute_job(&service, &job, dispatch);
-        shared.complete(Completion {
-            conn: job.conn,
-            generation: job.generation,
-            lane: job.lane,
-            responses,
-        });
-    }
-}
-
-/// Answer every request of `job`, in order. A panic does not take the
-/// worker down: the requests that ran keep their responses, and the one
-/// that panicked and all after it answer `Poisoned`. A session-lane
-/// panic poisons the session mutex, so the connection's later
-/// session-lane requests answer `Poisoned` as well.
-fn execute_job(service: &Service, job: &Job, dispatch: Dispatch) -> Vec<Json> {
-    let mut responses = Vec::with_capacity(job.requests.len());
-    let _ = panic::catch_unwind(AssertUnwindSafe(|| {
-        run_job(service, job, dispatch, &mut responses)
-    }));
-    if responses.len() < job.requests.len() {
-        let what = match job.lane {
-            Lane::Session => "session",
-            Lane::Stateless => "request",
+        let (conn, generation, lane) = (job.conn, job.generation, job.work.lane());
+        let mut complete = |responses| {
+            shared.complete(Completion {
+                conn,
+                generation,
+                lane,
+                responses,
+            })
         };
-        let error = error_response(&ServiceError::Poisoned(what.into()));
-        let unanswered = &job.requests[responses.len()..];
-        responses.extend(
-            unanswered
-                .iter()
-                .map(|(_, id)| with_id(error.clone(), id.clone())),
-        );
+        match job.work {
+            Work::Session {
+                requests,
+                session,
+                pending_hint,
+            } => complete(answer_in_order(&requests, "session", |responses| {
+                let Ok(mut session) = session.lock() else {
+                    return;
+                };
+                for (request, id) in &requests {
+                    let response = (runners.dispatch)(&mut session, request);
+                    pending_hint.store(session.pending(), Ordering::Relaxed);
+                    responses.push(with_id(response, id.clone()));
+                }
+            })),
+            Work::Stateless {
+                request,
+                pending_hint,
+            } => {
+                let requests = std::slice::from_ref(&request);
+                complete(answer_in_order(requests, "request", |responses| {
+                    let pending = pending_hint.load(Ordering::Relaxed);
+                    let response = stateless_response(&service, &request.0, pending);
+                    responses.push(with_id(response, request.1.clone()));
+                }))
+            }
+            Work::Autocommits(run) => {
+                // Taking the run closes it: later autocommits open a
+                // new job.
+                let run = relock(run.lock()).take().unwrap_or_default();
+                let Ok((run, early, mut epochs)) =
+                    panic::catch_unwind(AssertUnwindSafe(|| queue_autocommits(&service, &run)))
+                else {
+                    complete(poisoned(run.iter().map(|(_, id)| id)));
+                    continue;
+                };
+                if !early.is_empty() {
+                    complete(early);
+                }
+                if epochs.is_empty() {
+                    continue;
+                }
+                // Lead one shard here, a free one if there is one, and
+                // hand every other shard to the pool as a job of its
+                // own: the run's shards are led in parallel, and none
+                // waits for another's lock.
+                let here = epochs.iter().position(QueuedEpoch::is_free).unwrap_or(0);
+                let epoch = epochs.remove(here);
+                let run = Arc::new(run);
+                for other in epochs {
+                    shared.push_job(Job {
+                        conn,
+                        generation,
+                        work: Work::Lead(Arc::clone(&run), other),
+                    });
+                }
+                lead_epoch(&service, &run, epoch, runners, &mut complete);
+            }
+            Work::Lead(run, epoch) => lead_epoch(&service, &run, epoch, runners, &mut complete),
+        }
     }
-    responses
 }
 
-/// Push one response per request of `job` until done, a panic, or (on
-/// the session lane) a poisoned session lock.
-fn run_job(service: &Service, job: &Job, dispatch: Dispatch, responses: &mut Vec<Json>) {
-    match job.lane {
-        Lane::Session => {
-            let Ok(mut session) = job.session.lock() else {
-                return;
-            };
-            for (request, id) in &job.requests {
-                let response = dispatch(&mut session, request);
-                job.pending_hint.store(session.pending(), Ordering::Relaxed);
-                responses.push(with_id(response, id.clone()));
+/// Parse a connection's autocommit run and queue every transaction in
+/// its shard's group-commit queue ([`Service::enqueue_autocommits`]),
+/// before any shard is led: the run's transactions on one shard become
+/// members of one epoch. Returns the queued run, the replies of the
+/// scripts that never queued, and one epoch per shard.
+fn queue_autocommits(
+    service: &Service,
+    run: &[(String, Option<Json>)],
+) -> (QueuedRun, Vec<Json>, Vec<QueuedEpoch>) {
+    let (mut txs, mut ids, mut early) = (Vec::new(), Vec::new(), Vec::new());
+    for (sql, id) in run {
+        match autocommit_tx(service, sql) {
+            Ok(tx) => {
+                txs.push(tx);
+                ids.push(id.clone());
             }
-        }
-        Lane::Stateless => {
-            for (request, id) in &job.requests {
-                let pending = job.pending_hint.load(Ordering::Relaxed);
-                let response = stateless_response(service, request, pending);
-                responses.push(with_id(response, id.clone()));
-            }
+            Err(reply) => early.push(with_id(reply, id.clone())),
         }
     }
+    let queued = QueuedRun { txs, ids };
+    let (failed, epochs) = service.enqueue_autocommits(queued.txs.iter().cloned().enumerate());
+    early.extend(queued.replies(&failed));
+    (queued, early, epochs)
+}
+
+/// Lead one shard's epoch of `run`, answering its members as their
+/// results fill. A panic answers the members still unanswered with what
+/// their results hold once the epoch is dropped (see [`QueuedEpoch`]):
+/// `Poisoned` unless another leader committed them. It cannot reach
+/// the run's other shards, handed to jobs of their own before this one
+/// was led.
+fn lead_epoch(
+    service: &Service,
+    run: &QueuedRun,
+    epoch: QueuedEpoch,
+    runners: Runners,
+    complete: &mut impl FnMut(Vec<Json>),
+) {
+    let mut unanswered: Vec<usize> = epoch.members().collect();
+    let _ = panic::catch_unwind(AssertUnwindSafe(|| {
+        (runners.lead)(service, epoch, &mut |done| {
+            unanswered.retain(|i| !done.contains(i));
+            complete(run.replies(done));
+        })
+    }));
+    if !unanswered.is_empty() {
+        complete(run.replies(&unanswered));
+    }
+}
+
+/// The `Poisoned` answers of the requests `ids` — requests a panic cut
+/// short.
+fn poisoned<'a>(ids: impl IntoIterator<Item = &'a Option<Json>>) -> Vec<Json> {
+    let error = error_response(&ServiceError::Poisoned("request".into()));
+    let answer = |id: &Option<Json>| with_id(error.clone(), id.clone());
+    ids.into_iter().map(answer).collect()
+}
+
+/// Answer `requests` in order: `run` pushes one response per request
+/// until done, a panic, or (on the session lane) a poisoned session
+/// lock. A panic does not take the worker down: the requests that ran
+/// keep their responses, and the one that panicked and all after it
+/// answer `Poisoned` (`what`). A session-lane panic poisons the session
+/// mutex, so the connection's later session-lane requests answer
+/// `Poisoned` as well.
+fn answer_in_order(
+    requests: &[(Request, Option<Json>)],
+    what: &str,
+    run: impl FnOnce(&mut Vec<Json>),
+) -> Vec<Json> {
+    let mut responses = Vec::with_capacity(requests.len());
+    let _ = panic::catch_unwind(AssertUnwindSafe(|| run(&mut responses)));
+    let error = error_response(&ServiceError::Poisoned(what.into()));
+    let unanswered = &requests[responses.len()..];
+    responses.extend(
+        unanswered
+            .iter()
+            .map(|(_, id)| with_id(error.clone(), id.clone())),
+    );
+    responses
 }
 
 /// What one nonblocking read attempt yielded.
@@ -345,7 +513,7 @@ pub(crate) fn serve(
         pool.push(
             std::thread::Builder::new()
                 .name(format!("birds-worker-{i}"))
-                .spawn(move || worker_loop(service, shared, dispatch))?,
+                .spawn(move || worker_loop(service, shared, Runners::SERVICE))?,
         );
     }
     let epoll = Epoll::new()?;
@@ -599,11 +767,15 @@ impl Reactor {
             }
         }
         self.pump_session(idx);
+        self.pump_autocommits(idx);
     }
 
-    /// Route one decoded request onto its lane: stateless requests go
-    /// to the pool at once, session-lane requests wait in the queue for
-    /// [`Reactor::pump_session`].
+    /// Route one decoded request onto its lane: session-lane requests
+    /// wait in the queue for [`Reactor::pump_session`]; an autocommit
+    /// `execute` joins the connection's autocommit job while that job
+    /// waits for a worker, or opens a new one that
+    /// [`Reactor::pump_autocommits`] hands to the pool; other stateless
+    /// requests go to the pool at once.
     fn submit(&mut self, idx: usize, request: Request, id: Option<Json>) {
         let generation = self.generations[idx];
         let Some(conn) = self.conns[idx].as_mut() else {
@@ -623,18 +795,45 @@ impl Reactor {
                 _ => {}
             }
             conn.session_queue.push_back((request, id));
-        } else {
-            conn.stateless_in_flight += 1;
-            let job = Job {
-                conn: idx,
-                generation,
-                lane: Lane::Stateless,
-                requests: vec![(request, id)],
-                session: Arc::clone(&conn.session),
-                pending_hint: Arc::clone(&conn.pending_hint),
-            };
-            self.shared.push_job(job);
+            return;
         }
+        conn.stateless_in_flight += 1;
+        if let Request::Execute { sql } = request {
+            let mut run = relock(conn.autocommits.lock());
+            if run.is_none() {
+                conn.autocommits_unpushed = true;
+            }
+            run.get_or_insert_with(Vec::new).push((sql, id));
+            return;
+        }
+        let job = Job {
+            conn: idx,
+            generation,
+            work: Work::Stateless {
+                request: (request, id),
+                pending_hint: Arc::clone(&conn.pending_hint),
+            },
+        };
+        self.shared.push_job(job);
+    }
+
+    /// Hand the pool the autocommit job this read opened, if any. It is
+    /// pushed once the read's frames are routed, so every autocommit of
+    /// one read is in it.
+    fn pump_autocommits(&mut self, idx: usize) {
+        let generation = self.generations[idx];
+        let Some(conn) = self.conns[idx].as_mut() else {
+            return;
+        };
+        if !std::mem::take(&mut conn.autocommits_unpushed) {
+            return;
+        }
+        let job = Job {
+            conn: idx,
+            generation,
+            work: Work::Autocommits(Arc::clone(&conn.autocommits)),
+        };
+        self.shared.push_job(job);
     }
 
     /// If the session lane is idle, hand one worker the run of queued
@@ -654,10 +853,11 @@ impl Reactor {
         let job = Job {
             conn: idx,
             generation,
-            lane: Lane::Session,
-            requests,
-            session: Arc::clone(&conn.session),
-            pending_hint: Arc::clone(&conn.pending_hint),
+            work: Work::Session {
+                requests,
+                session: Arc::clone(&conn.session),
+                pending_hint: Arc::clone(&conn.pending_hint),
+            },
         };
         self.shared.push_job(job);
     }
@@ -940,40 +1140,46 @@ mod tests {
         dispatch(session, request)
     }
 
-    fn await_completion(shared: &Shared) -> Completion {
+    /// Take completions until `n` responses have arrived.
+    fn await_responses(shared: &Shared, n: usize) -> Vec<Json> {
         let deadline = Instant::now() + Duration::from_secs(20);
-        let mut done = Vec::new();
-        loop {
+        let (mut done, mut responses) = (Vec::new(), Vec::new());
+        while responses.len() < n {
             shared.take_completions(&mut done);
-            if let Some(completion) = done.pop() {
-                assert!(done.is_empty(), "one job in flight at a time");
-                return completion;
-            }
-            assert!(Instant::now() < deadline, "the worker never answered");
+            responses.extend(done.drain(..).flat_map(|completion| completion.responses));
+            assert!(Instant::now() < deadline, "only {responses:?} answered");
             std::thread::sleep(Duration::from_millis(1));
         }
+        assert_eq!(responses.len(), n, "{responses:?}");
+        responses
     }
 
     #[test]
     fn a_panic_answers_every_id_of_its_run_and_keeps_the_worker() {
         let service = union_service();
         let shared = Arc::new(Shared::new().unwrap());
+        let runners = Runners {
+            dispatch: panics_on_boom,
+            ..Runners::SERVICE
+        };
         let worker = {
             let (service, shared) = (service.clone(), Arc::clone(&shared));
-            std::thread::spawn(move || worker_loop(service, shared, panics_on_boom))
+            std::thread::spawn(move || worker_loop(service, shared, runners))
         };
         let session = Arc::new(Mutex::new(service.session()));
         let pending_hint = Arc::new(AtomicUsize::new(0));
-        let job = |lane, requests: Vec<Request>| Job {
+        let numbered = |requests: Vec<Request>| -> Vec<_> {
+            let ids = (0..).map(|i| Some(Json::Int(i)));
+            requests.into_iter().zip(ids).collect()
+        };
+        let run = |requests: Vec<Request>| Job {
             conn: 0,
             generation: 0,
-            lane,
-            requests: (0..)
-                .zip(requests)
-                .map(|(i, request)| (request, Some(Json::Int(i))))
-                .collect(),
-            session: Arc::clone(&session),
-            pending_hint: Arc::clone(&pending_hint),
+            work: Work::Session {
+                requests: numbered(requests),
+                session: Arc::clone(&session),
+                pending_hint: Arc::clone(&pending_hint),
+            },
         };
         let execute = |sql: &str| Request::Execute { sql: sql.into() };
         let poisoned = |what: &str, i| {
@@ -984,40 +1190,130 @@ mod tests {
         };
 
         // The panic is request k = 2 of a five-request run.
-        shared.push_job(job(
-            Lane::Session,
-            vec![
-                Request::Begin,
-                execute("INSERT INTO v VALUES (9);"),
-                execute("boom"),
-                execute("INSERT INTO v VALUES (10);"),
-                Request::Commit,
-            ],
-        ));
-        let run = await_completion(&shared).responses;
-        assert_eq!(run.len(), 5, "every id answered: {run:?}");
-        assert_eq!(run[0].get("batch"), Some(&Json::Bool(true)));
-        assert_eq!(run[1].get("buffered"), Some(&Json::Int(1)));
-        for (i, response) in (2..).zip(&run[2..]) {
+        shared.push_job(run(vec![
+            Request::Begin,
+            execute("INSERT INTO v VALUES (9);"),
+            execute("boom"),
+            execute("INSERT INTO v VALUES (10);"),
+            Request::Commit,
+        ]));
+        let responses = await_responses(&shared, 5);
+        assert_eq!(responses[0].get("batch"), Some(&Json::Bool(true)));
+        assert_eq!(responses[1].get("buffered"), Some(&Json::Int(1)));
+        for (i, response) in (2..).zip(&responses[2..]) {
             assert_eq!(response, &poisoned("session", i));
         }
 
         // The same worker keeps serving: the poisoned session answers
         // with the typed error, the service itself is untouched.
-        shared.push_job(job(Lane::Session, vec![Request::Rollback]));
-        assert_eq!(
-            await_completion(&shared).responses,
-            vec![poisoned("session", 0)]
-        );
-        shared.push_job(job(
-            Lane::Stateless,
-            vec![Request::Query {
-                relation: "v".into(),
-            }],
-        ));
-        let query = await_completion(&shared).responses;
+        shared.push_job(run(vec![Request::Rollback]));
+        assert_eq!(await_responses(&shared, 1), vec![poisoned("session", 0)]);
+        shared.push_job(Job {
+            conn: 0,
+            generation: 0,
+            work: Work::Stateless {
+                request: (
+                    Request::Query {
+                        relation: "v".into(),
+                    },
+                    None,
+                ),
+                pending_hint: Arc::clone(&pending_hint),
+            },
+        });
+        let query = await_responses(&shared, 1);
         assert_eq!(query[0].get("count"), Some(&Json::Int(3)), "{query:?}");
 
+        shared.close_jobs();
+        worker.join().expect("the worker outlived the panic");
+    }
+
+    /// `v = r1 ∪ r2` and `w = s1 ∪ s2`: two views, two shards.
+    fn two_shard_service() -> Service {
+        use birds_core::UpdateStrategy;
+        use birds_engine::{Engine, StrategyMode};
+        use birds_store::{Database, DatabaseSchema, Relation, Schema, SortKind};
+        let mut db = Database::new();
+        for name in ["r1", "r2", "s1", "s2"] {
+            db.add_relation(Relation::new(name, 1)).unwrap();
+        }
+        let mut engine = Engine::new(db);
+        for (view, a, b) in [("v", "r1", "r2"), ("w", "s1", "s2")] {
+            let int = |name| Schema::new(name, vec![("a", SortKind::Int)]);
+            let strategy = UpdateStrategy::parse(
+                DatabaseSchema::new().with(int(a)).with(int(b)),
+                int(view),
+                &format!(
+                    "-{a}(X) :- {a}(X), not {view}(X).
+                     -{b}(X) :- {b}(X), not {view}(X).
+                     +{a}(X) :- {view}(X), not {a}(X), not {b}(X)."
+                ),
+                None,
+            );
+            engine
+                .register_view(strategy.unwrap(), StrategyMode::Incremental)
+                .unwrap();
+        }
+        Service::new(engine)
+    }
+
+    /// Leads like the service, except that the epoch holding a run's
+    /// first transaction panics before it is led.
+    fn panics_leading_the_first(
+        service: &Service,
+        epoch: QueuedEpoch,
+        finished: &mut dyn FnMut(&[usize]),
+    ) {
+        if epoch.members().any(|i| i == 0) {
+            panic!("injected epoch panic");
+        }
+        service.lead_autocommits(epoch, finished)
+    }
+
+    #[test]
+    fn a_panic_leading_one_shard_of_a_run_leaves_its_other_shards_to_their_own_jobs() {
+        let service = two_shard_service();
+        let shared = Arc::new(Shared::new().unwrap());
+        let runners = Runners {
+            lead: panics_leading_the_first,
+            ..Runners::SERVICE
+        };
+        let worker = {
+            let (service, shared) = (service.clone(), Arc::clone(&shared));
+            std::thread::spawn(move || worker_loop(service, shared, runners))
+        };
+
+        // One run over both shards; `v`'s shard, first in the run and
+        // free, is the one its worker leads, and that epoch panics.
+        let run = [
+            ("INSERT INTO v VALUES (1);", "v"),
+            ("INSERT INTO w VALUES (2);", "w"),
+        ];
+        let run = run.map(|(sql, id)| (sql.to_owned(), Some(Json::str(id))));
+        shared.push_job(Job {
+            conn: 0,
+            generation: 0,
+            work: Work::Autocommits(Arc::new(Mutex::new(Some(run.to_vec())))),
+        });
+        let mut responses = await_responses(&shared, 2);
+        responses.sort_by_key(|response| response.get("id").cloned().map(|id| id.to_compact()));
+        let error = responses[0].get("error").and_then(Json::as_str);
+        assert!(error.unwrap().contains("poisoned"), "{responses:?}");
+        assert_eq!(responses[1].get("applied"), Some(&Json::Bool(true)));
+
+        // Nothing of the run is left queued for a later leader to commit
+        // behind its `Poisoned` answer: `v`'s transaction was taken back
+        // and never commits, `w`'s committed through a job of its own.
+        assert_eq!(service.debug_queue_len("v"), 0);
+        assert_eq!(service.debug_queue_len("w"), 0);
+        let mut session = service.session();
+        session.execute("INSERT INTO v VALUES (3);").unwrap();
+        let v = service.query("v").unwrap();
+        assert!(!v.contains(&birds_store::tuple![1]) && v.contains(&birds_store::tuple![3]));
+        assert!(service
+            .query("w")
+            .unwrap()
+            .contains(&birds_store::tuple![2]));
         shared.close_jobs();
         worker.join().expect("the worker outlived the panic");
     }

@@ -183,15 +183,20 @@ struct WalState {
     checkpoint_lock: Mutex<()>,
     /// Consecutive failed emergency-heal checkpoints (log throttling).
     heal_failures: AtomicU64,
+    /// `fdatasync` calls of every segment writer the service opened,
+    /// retired shards' included ([`Service::wal_syncs`]).
+    syncs: Arc<AtomicU64>,
 }
 
 impl WalState {
     /// Open (or continue) the segment series of shard `id`.
     fn open_writer(&self, id: LockId) -> ServiceResult<SegmentWriter> {
         let series = id.index();
-        SegmentWriter::open(&self.data_dir, series, DEFAULT_SEGMENT_BYTES).map_err(|e| {
-            ServiceError::Durability(format!("opening wal segment series {series}: {e}"))
-        })
+        SegmentWriter::open(&self.data_dir, series, DEFAULT_SEGMENT_BYTES)
+            .map(|writer| writer.count_syncs_in(Arc::clone(&self.syncs)))
+            .map_err(|e| {
+                ServiceError::Durability(format!("opening wal segment series {series}: {e}"))
+            })
     }
 }
 
@@ -461,6 +466,7 @@ impl Service {
             commits_since_checkpoint: AtomicU64::new(0),
             checkpoint_lock: Mutex::new(()),
             heal_failures: AtomicU64::new(0),
+            syncs: Arc::default(),
         });
         // The first generation succeeds an empty one: a shard per
         // footprint component, each with its image as of the recovered
@@ -648,6 +654,14 @@ impl Service {
         Some(ShardWriteGuard(Some((hang_up, holder))))
     }
 
+    /// Test hook: the autocommit transactions queued right now in the
+    /// group-commit queue of the shard owning `relation` — how a test
+    /// knows every member of an epoch it parked has arrived.
+    #[doc(hidden)]
+    pub fn debug_queue_len(&self, relation: &str) -> usize {
+        self.topology().queue_len(relation)
+    }
+
     /// Test hook: drain the engines' shared read-trace sink (enable it
     /// with [`Engine::set_read_trace`] before constructing the
     /// service). All shards share one sink `Arc`, so draining the first
@@ -692,6 +706,15 @@ impl Service {
         self.inner.commit_seq.load(Ordering::SeqCst)
     }
 
+    /// WAL `fdatasync` calls since the service started: one per epoch
+    /// that logged a record under the `epoch` policy, plus one per
+    /// segment rotation. Zero on an in-memory service. Next to
+    /// [`Service::commits`] it says how many commits shared each sync.
+    pub fn wal_syncs(&self) -> u64 {
+        let wal = self.inner.wal.as_ref();
+        wal.map_or(0, |wal| wal.syncs.load(Ordering::Relaxed))
+    }
+
     /// Tear the service down and recover the engine (shards merged back
     /// into one). Fails (returning `self`) while other handles —
     /// sessions included — are still alive.
@@ -719,41 +742,126 @@ impl Service {
         self.inner.commit_seq.fetch_add(1, Ordering::SeqCst) + 1
     }
 
-    /// Autocommit one transaction through its shard's group-commit
-    /// queue: enqueue, win the shard's write lock, and lead whatever is
-    /// queued then — an empty queue means another leader drained this
-    /// transaction and filled its result before releasing the lock.
-    /// A shard retired by a live re-shard leaves its slot `None`: the
-    /// transaction is taken back (unless a leader already drained it)
-    /// and resubmitted against the current topology.
+    /// The view an autocommit script writes: `None` for an empty script
+    /// — a trivial transaction, which takes its commit seq here — and
+    /// an error for a script that spans views.
+    pub(crate) fn autocommit_view(
+        &self,
+        statements: &[DmlStatement],
+    ) -> ServiceResult<Option<String>> {
+        let Some(first) = statements.first() else {
+            self.next_commit_seq();
+            return Ok(None);
+        };
+        let view = first.table();
+        if statements.iter().any(|s| s.table() != view) {
+            return Err(ServiceError::Engine(EngineError::BadStatement(
+                "a transaction must target a single view".into(),
+            )));
+        }
+        Ok(Some(view.to_owned()))
+    }
+
+    /// Autocommit one transaction: queue it in its shard's group-commit
+    /// queue and lead that shard ([`Service::lead_autocommits`]).
     pub(crate) fn submit_autocommit(
         &self,
         view: String,
         statements: Vec<DmlStatement>,
     ) -> TxResult {
         let tx = PendingTx::new(vec![(view, statements)]);
-        loop {
-            let topo = self.topology();
-            let Some(id) = topo.route.shard_of(tx.view()) else {
-                return Err(ServiceError::Engine(EngineError::NotAView(
-                    tx.view().to_owned(),
-                )));
-            };
-            let shard = topo.shard(id);
-            shard.enqueue(Arc::clone(&tx))?;
-            let slot = shard.write();
-            if slot.is_none() {
-                drop(slot);
-                if shard.retract(&tx)? {
-                    continue;
-                }
-            } else {
-                let members = shard.drain()?;
-                if !members.is_empty() {
-                    self.commit_epoch(&topo, vec![(id, slot)], &members);
+        let (_, epochs) = self.enqueue_autocommits([(0, Arc::clone(&tx))]);
+        for epoch in epochs {
+            self.lead_autocommits(epoch, |_| {});
+        }
+        tx.result()
+    }
+
+    /// Queue `members` — autocommit transactions, each its own, with
+    /// their indices in the caller's run — in their shards' group-commit
+    /// queues. Returns the indices of the members that could not be
+    /// queued (their results filled with the error) and one
+    /// [`QueuedEpoch`] per shard, in order of first appearance. Queueing a run before leading any of its shards is
+    /// what makes the run's transactions on one shard members of one
+    /// epoch: one pass per view, one WAL record, one sync.
+    pub(crate) fn enqueue_autocommits(
+        &self,
+        members: impl IntoIterator<Item = (usize, Arc<PendingTx>)>,
+    ) -> (Vec<usize>, Vec<QueuedEpoch>) {
+        let topo = self.topology();
+        let (mut failed, mut epochs) = (Vec::new(), Vec::<QueuedEpoch>::new());
+        for (i, tx) in members {
+            let routed = topo
+                .route
+                .shard_of(tx.view())
+                .ok_or_else(|| ServiceError::Engine(EngineError::NotAView(tx.view().to_owned())));
+            match routed.and_then(|id| topo.shard(id).enqueue(Arc::clone(&tx)).map(|()| id)) {
+                Ok(id) => match epochs.iter_mut().find(|epoch| epoch.id == id) {
+                    Some(epoch) => epoch.members.push((i, tx)),
+                    None => epochs.push(QueuedEpoch {
+                        topo: Arc::clone(&topo),
+                        id,
+                        members: vec![(i, tx)],
+                    }),
+                },
+                Err(e) => {
+                    tx.fill(Err(e));
+                    failed.push(i);
                 }
             }
-            return tx.result();
+        }
+        (failed, epochs)
+    }
+
+    /// Lead a [`QueuedEpoch`]: win its shard's write lock, blocking,
+    /// and run whatever is queued there as one epoch — an empty queue
+    /// means another leader drained these members and filled their
+    /// results before releasing the lock. `finished` hears the indices
+    /// of the members whose results are filled.
+    ///
+    /// A shard retired by a live re-shard leaves its slot `None`: its
+    /// members are taken back (unless a leader already drained them),
+    /// queued against the current topology and led in turn, one shard
+    /// after another.
+    pub(crate) fn lead_autocommits(&self, epoch: QueuedEpoch, mut finished: impl FnMut(&[usize])) {
+        let mut epochs = vec![epoch];
+        while let Some(mut epoch) = epochs.pop() {
+            let shard = epoch.topo.shard(epoch.id);
+            let slot = shard.write();
+            // Under the lock, the members are this leader's to settle.
+            let members = std::mem::take(&mut epoch.members);
+            if slot.is_some() {
+                match shard.drain() {
+                    Ok(queued) if !queued.is_empty() => {
+                        self.commit_epoch(&epoch.topo, vec![(epoch.id, slot)], &queued)
+                    }
+                    Ok(_) => drop(slot),
+                    Err(e) => {
+                        members.iter().for_each(|(_, tx)| tx.fill(Err(e.clone())));
+                        drop(slot);
+                    }
+                }
+                finished(&members.iter().map(|(i, _)| *i).collect::<Vec<_>>());
+                continue;
+            }
+            drop(slot);
+            let (mut settled, mut retracted) = (Vec::new(), Vec::new());
+            for (i, tx) in members {
+                match shard.retract(&tx) {
+                    Ok(true) => retracted.push((i, tx)),
+                    Ok(false) => settled.push(i),
+                    Err(e) => {
+                        tx.fill(Err(e));
+                        settled.push(i);
+                    }
+                }
+            }
+            let (failed, requeued) = self.enqueue_autocommits(retracted);
+            settled.extend(failed);
+            if !settled.is_empty() {
+                finished(&settled);
+            }
+            epochs.extend(requeued);
         }
     }
 
@@ -1341,6 +1449,56 @@ impl Service {
     }
 }
 
+/// One shard's share of an autocommit run, queued by
+/// [`Service::enqueue_autocommits`] and waiting for
+/// [`Service::lead_autocommits`]. It can travel to another thread, so
+/// the shards of one run can be led by different workers.
+///
+/// Dropped without being led — a panic between queueing and leading —
+/// it takes its members back out of the queue, so no later leader
+/// commits a transaction whose submitter answered it failed. A member a
+/// leader already drained stays with that leader: the drop waits for
+/// the shard's lock, so that leader has filled its result by the time
+/// the drop returns.
+pub(crate) struct QueuedEpoch {
+    topo: Arc<Topology>,
+    id: LockId,
+    /// The queued transactions, with their indices in the run.
+    members: Vec<(usize, Arc<PendingTx>)>,
+}
+
+impl QueuedEpoch {
+    /// The indices in the run of the transactions queued in this shard.
+    pub(crate) fn members(&self) -> impl Iterator<Item = usize> + '_ {
+        self.members.iter().map(|(i, _)| *i)
+    }
+
+    /// Whether the shard's write lock is free at this moment — a hint
+    /// for which epoch to lead first, since another thread may take the
+    /// lock right after.
+    pub(crate) fn is_free(&self) -> bool {
+        self.topo.shard(self.id).try_write().is_some()
+    }
+}
+
+impl Drop for QueuedEpoch {
+    fn drop(&mut self) {
+        let shard = self.topo.shard(self.id);
+        let mut drained = false;
+        for (_, tx) in &self.members {
+            drained |= !matches!(shard.retract(tx), Ok(true));
+        }
+        if drained {
+            drop(shard.write());
+        }
+    }
+}
+
+/// Parse a DML script, as [`Session::execute`] does.
+pub(crate) fn parse_dml(sql: &str) -> ServiceResult<Vec<DmlStatement>> {
+    parse_script(sql).map_err(|e| ServiceError::Parse(e.to_string()))
+}
+
 /// One client's connection-scoped state: its mode and pending batch.
 pub struct Session {
     service: Service,
@@ -1369,8 +1527,7 @@ impl Session {
     /// immediately as one transaction; in batch mode they buffer until
     /// [`Session::commit`].
     pub fn execute(&mut self, sql: &str) -> ServiceResult<ExecOutcome> {
-        let statements = parse_script(sql).map_err(|e| ServiceError::Parse(e.to_string()))?;
-        self.execute_statements(statements)
+        self.execute_statements(parse_dml(sql)?)
     }
 
     /// Pre-parsed variant of [`Session::execute`].
@@ -1384,18 +1541,10 @@ impl Session {
                 Ok(ExecOutcome::Buffered(buffer.len()))
             }
             None => {
-                let Some(first) = statements.first() else {
-                    // An empty script is still a (trivial) transaction.
-                    self.service.next_commit_seq();
+                let Some(view) = self.service.autocommit_view(&statements)? else {
                     return Ok(ExecOutcome::Applied(ExecutionStats::default()));
                 };
-                let table = first.table().to_owned();
-                if statements.iter().any(|s| s.table() != table) {
-                    return Err(ServiceError::Engine(EngineError::BadStatement(
-                        "a transaction must target a single view".into(),
-                    )));
-                }
-                let (_seq, stats) = self.service.submit_autocommit(table, statements)?;
+                let (_seq, stats) = self.service.submit_autocommit(view, statements)?;
                 Ok(ExecOutcome::Applied(stats))
             }
         }
@@ -1566,6 +1715,43 @@ mod tests {
         assert!(matches!(outcome, ExecOutcome::Applied(_)));
         assert!(service.query("r1").unwrap().contains(&tuple![9]));
         assert_eq!(service.commits(), 1);
+    }
+
+    #[test]
+    fn an_epoch_dropped_unled_takes_its_members_back() {
+        let service = union_service();
+        let tx = |n| {
+            let statements = parse_dml(&format!("INSERT INTO v VALUES ({n});")).unwrap();
+            PendingTx::new(vec![("v".to_owned(), statements)])
+        };
+        let (a, b) = (tx(20), tx(21));
+        let (failed, epochs) =
+            service.enqueue_autocommits([(0, Arc::clone(&a)), (1, Arc::clone(&b))]);
+        assert!(failed.is_empty());
+        assert_eq!(epochs.len(), 1, "one shard, one epoch");
+        assert_eq!(service.debug_queue_len("v"), 2);
+        drop(epochs);
+        assert_eq!(service.debug_queue_len("v"), 0);
+        // The next leader of the shard commits neither.
+        service
+            .session()
+            .execute("INSERT INTO v VALUES (22);")
+            .unwrap();
+        let r1 = service.query("r1").unwrap();
+        assert!(r1.contains(&tuple![22]) && !r1.contains(&tuple![20]) && !r1.contains(&tuple![21]));
+        assert!(matches!(a.result(), Err(ServiceError::Poisoned(_))));
+
+        // A member another leader drained stays that leader's: it
+        // commits, and the drop leaves its result for the submitter.
+        let c = tx(23);
+        let (_, epochs) = service.enqueue_autocommits([(0, Arc::clone(&c))]);
+        service
+            .session()
+            .execute("INSERT INTO v VALUES (24);")
+            .unwrap();
+        drop(epochs);
+        assert!(c.result().is_ok());
+        assert!(service.query("r1").unwrap().contains(&tuple![23]));
     }
 
     #[test]

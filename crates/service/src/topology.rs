@@ -58,7 +58,7 @@ use crate::snapshot::ShardSnapshot;
 use birds_engine::Engine;
 use birds_wal::SegmentWriter;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockWriteGuard, TryLockError};
 
 /// Identifier of one shard, never reused within a process: new shards
 /// take theirs from `Topology::fresh_ids`. Its `Ord` is the global lock
@@ -110,6 +110,16 @@ impl Shard {
     /// The shard's write lock (poison-recovering, see the module docs).
     pub(crate) fn write(&self) -> RwLockWriteGuard<'_, Option<Engine>> {
         self.engine.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The shard's write lock if no one holds it now (poison-recovering
+    /// like [`Shard::write`]).
+    pub(crate) fn try_write(&self) -> Option<RwLockWriteGuard<'_, Option<Engine>>> {
+        match self.engine.try_write() {
+            Ok(guard) => Some(guard),
+            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
     }
 
     fn queue(&self) -> ServiceResult<MutexGuard<'_, VecDeque<Arc<PendingTx>>>> {
@@ -228,7 +238,6 @@ impl Topology {
     }
 
     /// Transactions queued right now in the shard owning `relation`.
-    #[cfg(test)]
     pub(crate) fn queue_len(&self, relation: &str) -> usize {
         let shard = self.route.shard_of(relation).expect("a routed relation");
         self.shard(shard).queue().map_or(0, |queue| queue.len())

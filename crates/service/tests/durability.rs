@@ -140,7 +140,7 @@ fn sorted(service: &Service, relation: &str) -> Vec<Tuple> {
 
 #[test]
 fn commits_survive_restart() {
-    for fsync in [FsyncPolicy::Always, FsyncPolicy::Epoch, FsyncPolicy::Off] {
+    for fsync in [FsyncPolicy::Epoch, FsyncPolicy::Off] {
         let dir = temp_dir(&format!("restart-{fsync}"));
         {
             let service = open(union_engine(), &dir, fsync);

@@ -163,6 +163,170 @@ fn slow_shard_does_not_delay_fast_shard_on_one_connection() {
 }
 
 #[test]
+fn slow_autocommit_does_not_delay_an_autocommit_on_another_shard() {
+    // The write form of the contract above: a connection's pipelined
+    // autocommits may travel to a worker as one job, and one of them
+    // parked on its shard must not hold back the other's answer.
+    let service = Service::new(disjoint_engine(2));
+    let server = Server::spawn_config(
+        "127.0.0.1:0",
+        service.clone(),
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = Client::connect(server.addr());
+
+    let guard = service.debug_write_lock_shard("v0").expect("v0 shard");
+    client.pipeline(&[
+        r#"{"op":"execute","sql":"INSERT INTO v0 VALUES (71);","id":"slow"}"#,
+        r#"{"op":"execute","sql":"INSERT INTO v1 VALUES (72);","id":"fast"}"#,
+    ]);
+
+    let first = client.read_line();
+    assert_eq!(
+        response_id(&first),
+        Some(Json::str("fast")),
+        "v1's autocommit answers while v0's is parked: {first}"
+    );
+    assert!(first.contains("\"applied\": true"), "{first}");
+    assert!(service.query("v1").unwrap().contains(&tuple![72]));
+
+    drop(guard);
+    let second = client.read_line();
+    assert_eq!(response_id(&second), Some(Json::str("slow")), "{second}");
+    assert!(second.contains("\"applied\": true"), "{second}");
+
+    server.shutdown();
+    server.join().unwrap();
+    assert!(service.query("v0").unwrap().contains(&tuple![71]));
+}
+
+#[test]
+fn autocommits_parked_on_two_shards_answer_as_each_shard_frees() {
+    // Both shards of a pipelined pair are held when the run reaches a
+    // worker: each shard is led by a job of its own, so the one
+    // released first answers first, whatever the run's order.
+    let service = Service::new(disjoint_engine(2));
+    let server = Server::spawn_config(
+        "127.0.0.1:0",
+        service.clone(),
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = Client::connect(server.addr());
+
+    let v0 = service.debug_write_lock_shard("v0").expect("v0 shard");
+    let v1 = service.debug_write_lock_shard("v1").expect("v1 shard");
+    client.pipeline(&[
+        r#"{"op":"execute","sql":"INSERT INTO v0 VALUES (81);","id":"first"}"#,
+        r#"{"op":"execute","sql":"INSERT INTO v1 VALUES (82);","id":"second"}"#,
+    ]);
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while service.debug_queue_len("v0") + service.debug_queue_len("v1") < 2 {
+        assert!(std::time::Instant::now() < deadline, "the run never queued");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    drop(v1);
+    let line = client.read_line();
+    assert_eq!(
+        response_id(&line),
+        Some(Json::str("second")),
+        "v1's autocommit answers while v0 is still held: {line}"
+    );
+    assert!(line.contains("\"applied\": true"), "{line}");
+
+    drop(v0);
+    let line = client.read_line();
+    assert_eq!(response_id(&line), Some(Json::str("first")), "{line}");
+    assert!(line.contains("\"applied\": true"), "{line}");
+
+    server.shutdown();
+    server.join().unwrap();
+    assert!(service.query("v0").unwrap().contains(&tuple![81]));
+    assert!(service.query("v1").unwrap().contains(&tuple![82]));
+}
+
+/// A `stats` counter of the server, read over the connection.
+fn stat(client: &mut Client, field: &str) -> i64 {
+    let stats = Json::parse(&client.send(r#"{"op":"stats"}"#)).expect("stats is JSON");
+    match stats.get(field) {
+        Some(Json::Int(n)) => *n,
+        other => panic!("stats field {field}: {other:?}"),
+    }
+}
+
+#[test]
+fn pipelined_autocommits_on_one_shard_share_one_wal_sync() {
+    // Eight autocommits pipelined on one connection while their shard
+    // is parked all queue in its group-commit queue — two workers could
+    // hold at most two of them if each were its own job — so the
+    // leader that wins the released shard commits them as one epoch:
+    // one WAL record, one sync.
+    let dir = std::env::temp_dir().join(format!("birds-pipelined-sync-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let service = Service::open(
+        disjoint_engine(1),
+        birds_service::ServiceConfig::default(),
+        birds_service::DurabilityConfig::new(&dir),
+    )
+    .unwrap();
+    let server = Server::spawn_config(
+        "127.0.0.1:0",
+        service.clone(),
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = Client::connect(server.addr());
+    let (commits, syncs) = (stat(&mut client, "commits"), stat(&mut client, "wal_syncs"));
+
+    let guard = service.debug_write_lock_shard("v0").expect("v0 shard");
+    let burst: Vec<String> = (0..8)
+        .map(|i| {
+            format!(
+                r#"{{"op":"execute","sql":"INSERT INTO v0 VALUES ({});","id":{i}}}"#,
+                50 + i
+            )
+        })
+        .collect();
+    client.pipeline(&burst.iter().map(String::as_str).collect::<Vec<_>>());
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while service.debug_queue_len("v0") < 8 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "only {} of 8 autocommits queued",
+            service.debug_queue_len("v0")
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    drop(guard);
+    for _ in 0..8 {
+        let line = client.read_line();
+        assert!(line.contains("\"applied\": true"), "{line}");
+    }
+
+    assert_eq!(stat(&mut client, "commits") - commits, 8);
+    assert_eq!(
+        stat(&mut client, "wal_syncs") - syncs,
+        1,
+        "8 commits cost exactly 1 sync"
+    );
+    server.shutdown();
+    server.join().unwrap();
+    drop(service);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn interleaved_mixed_lanes_answer_every_id_exactly_once_in_session_order() {
     // N interleaved requests — a FIFO batch conversation, concurrent
     // stateless reads, and a malformed line — fired down one connection

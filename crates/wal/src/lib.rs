@@ -28,10 +28,12 @@
 //! * **Torn tails** — every record is length-prefixed and CRC32-checked
 //!   (`birds_store::codec`); a crash mid-append leaves a tail that
 //!   recovery detects, truncates, and never replays.
-//! * **Fsync policy** ([`FsyncPolicy`]) — `always` syncs after every
-//!   record, `epoch` once per commit epoch (one sync amortized over
-//!   every transaction the epoch coalesced), `off` leaves flushing to
-//!   the OS page cache (survives SIGKILL, not power loss).
+//! * **Fsync policy** ([`FsyncPolicy`]) — `epoch` syncs once per commit
+//!   epoch (one sync amortized over every transaction the epoch
+//!   coalesced), `off` leaves flushing to the OS page cache (survives
+//!   SIGKILL, not power loss). No commit is acknowledged before its
+//!   epoch's sync, so a per-record sync would add syncs and no
+//!   guarantee: there is none.
 //! * **Rotation** — a segment that crosses the configured size is
 //!   closed and a numbered successor opened, so checkpoint truncation
 //!   and future segment GC work at file granularity.
@@ -59,9 +61,6 @@ use std::str::FromStr;
 /// When WAL appends are flushed to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncPolicy {
-    /// Sync after every appended record. Strongest guarantee, one
-    /// `fdatasync` per record.
-    Always,
     /// Sync once per commit epoch, after the epoch's records are
     /// appended and before any member transaction learns it committed —
     /// the group-commit amortization: one sync covers every transaction
@@ -76,14 +75,9 @@ pub enum FsyncPolicy {
 }
 
 impl FsyncPolicy {
-    /// Should each individual record append sync?
-    pub fn sync_each_record(self) -> bool {
-        matches!(self, FsyncPolicy::Always)
-    }
-
-    /// Should the end of an epoch sync (if no per-record sync ran)?
+    /// Should the end of an epoch sync?
     pub fn sync_each_epoch(self) -> bool {
-        matches!(self, FsyncPolicy::Always | FsyncPolicy::Epoch)
+        matches!(self, FsyncPolicy::Epoch)
     }
 }
 
@@ -91,11 +85,15 @@ impl FromStr for FsyncPolicy {
     type Err = String;
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "always" => Ok(FsyncPolicy::Always),
             "epoch" => Ok(FsyncPolicy::Epoch),
             "off" => Ok(FsyncPolicy::Off),
+            // No commit is acknowledged before its epoch's sync, so a
+            // sync per record bought no guarantee `epoch` lacks.
+            "always" => Err("fsync policy 'always' was retired: use 'epoch', which \
+                 syncs before any commit is acknowledged"
+                .to_owned()),
             other => Err(format!(
-                "unknown fsync policy '{other}' (expected always|epoch|off)"
+                "unknown fsync policy '{other}' (expected epoch|off)"
             )),
         }
     }
@@ -104,7 +102,6 @@ impl FromStr for FsyncPolicy {
 impl fmt::Display for FsyncPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
-            FsyncPolicy::Always => "always",
             FsyncPolicy::Epoch => "epoch",
             FsyncPolicy::Off => "off",
         })
@@ -117,11 +114,7 @@ mod tests {
 
     #[test]
     fn fsync_policy_parses_and_displays() {
-        for (text, policy) in [
-            ("always", FsyncPolicy::Always),
-            ("epoch", FsyncPolicy::Epoch),
-            ("off", FsyncPolicy::Off),
-        ] {
+        for (text, policy) in [("epoch", FsyncPolicy::Epoch), ("off", FsyncPolicy::Off)] {
             assert_eq!(text.parse::<FsyncPolicy>().unwrap(), policy);
             assert_eq!(policy.to_string(), text);
         }
@@ -130,12 +123,14 @@ mod tests {
     }
 
     #[test]
+    fn the_retired_always_policy_points_at_epoch() {
+        let error = "always".parse::<FsyncPolicy>().unwrap_err();
+        assert!(error.contains("'epoch'"), "{error}");
+    }
+
+    #[test]
     fn fsync_policy_sync_points() {
-        assert!(FsyncPolicy::Always.sync_each_record());
-        assert!(FsyncPolicy::Always.sync_each_epoch());
-        assert!(!FsyncPolicy::Epoch.sync_each_record());
         assert!(FsyncPolicy::Epoch.sync_each_epoch());
-        assert!(!FsyncPolicy::Off.sync_each_record());
         assert!(!FsyncPolicy::Off.sync_each_epoch());
     }
 }

@@ -212,8 +212,9 @@ mod tests {
     fn torn_tail_is_truncated_so_reopen_appends_cleanly() {
         let dir = temp_dir("tail");
         let mut w = SegmentWriter::open(&dir, 0, DEFAULT_SEGMENT_BYTES).unwrap();
-        w.append(&record(&[1]), FsyncPolicy::Always).unwrap();
-        w.append(&record(&[2]), FsyncPolicy::Always).unwrap();
+        w.append(&record(&[1]), FsyncPolicy::Epoch).unwrap();
+        w.append(&record(&[2]), FsyncPolicy::Epoch).unwrap();
+        w.sync().unwrap();
         drop(w);
         let path = scan_segments(&dir).unwrap()[0].path.clone();
         let full = std::fs::metadata(&path).unwrap().len();
@@ -228,7 +229,8 @@ mod tests {
 
         // Appending after recovery must yield a clean log.
         let mut w = SegmentWriter::open(&dir, 0, DEFAULT_SEGMENT_BYTES).unwrap();
-        w.append(&record(&[2]), FsyncPolicy::Always).unwrap();
+        w.append(&record(&[2]), FsyncPolicy::Epoch).unwrap();
+        w.sync().unwrap();
         drop(w);
         let rec = recover(&dir).unwrap();
         assert_eq!(rec.truncated_tails, 0);

@@ -15,6 +15,8 @@ use birds_store::codec::{read_record, write_record, RecordRead, StreamHeader, MA
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Magic tag of a WAL segment stream.
 pub const WAL_MAGIC: [u8; 4] = *b"BWAL";
@@ -154,6 +156,10 @@ pub struct SegmentWriter {
     /// rejects every append until [`SegmentWriter::reset`] gives it a
     /// brand-new segment series.
     sealed: bool,
+    /// Where this writer counts its `fdatasync` calls (see
+    /// [`SegmentWriter::syncs`]); shared with other writers after
+    /// [`SegmentWriter::count_syncs_in`].
+    syncs: Arc<AtomicU64>,
 }
 
 impl SegmentWriter {
@@ -192,13 +198,15 @@ impl SegmentWriter {
             bytes,
             segment_bytes,
             sealed: false,
+            syncs: Arc::default(),
         })
     }
 
     /// Append one record, rotating to a fresh segment first when the
-    /// current one has crossed the size threshold. Syncs per record only
-    /// under [`FsyncPolicy::Always`]; epoch-level syncing is the
-    /// caller's [`SegmentWriter::sync`] call.
+    /// current one has crossed the size threshold. An append never
+    /// syncs: durability is the caller's one [`SegmentWriter::sync`] per
+    /// epoch, whatever the policy. The `_fsync` argument no longer
+    /// changes anything; it stays so existing callers keep compiling.
     ///
     /// A failed write or sync **seals** the writer: the tail may be torn
     /// mid-file, and appending past it would put acknowledged records
@@ -206,7 +214,7 @@ impl SegmentWriter {
     /// fast until a checkpoint [`SegmentWriter::reset`]s the series.
     /// (An oversized record is rejected *before* any byte is written
     /// and does not seal — nothing reached the file.)
-    pub fn append(&mut self, record: &WalRecord, fsync: FsyncPolicy) -> WalResult<()> {
+    pub fn append(&mut self, record: &WalRecord, _fsync: FsyncPolicy) -> WalResult<()> {
         if self.sealed {
             return Err(WalError::Corrupt(format!(
                 "shard {} wal writer is sealed after an earlier append/sync \
@@ -227,9 +235,6 @@ impl SegmentWriter {
             }
             write_record(&mut self.file, &payload)?;
             self.bytes += 8 + payload.len() as u64;
-            if fsync.sync_each_record() {
-                self.file.sync_data()?;
-            }
             Ok(())
         })();
         if result.is_err() {
@@ -247,16 +252,22 @@ impl SegmentWriter {
                 self.shard
             )));
         }
-        if let Err(e) = self.file.sync_data() {
+        if let Err(e) = self.sync_data() {
             self.sealed = true;
             return Err(WalError::Io(e));
         }
         Ok(())
     }
 
+    /// One counted `fdatasync` of the current segment.
+    fn sync_data(&mut self) -> std::io::Result<()> {
+        self.syncs.fetch_add(1, Ordering::Relaxed);
+        self.file.sync_data()
+    }
+
     /// Close the current segment (syncing it) and start the next one.
     fn rotate(&mut self) -> WalResult<()> {
-        self.file.sync_data()?;
+        self.sync_data()?;
         self.seg += 1;
         let path = self.dir.join(segment_name(self.shard, self.seg));
         let mut file = OpenOptions::new()
@@ -350,6 +361,22 @@ impl SegmentWriter {
         self.seg
     }
 
+    /// `fdatasync` calls counted where this writer counts them — one
+    /// per epoch [`SegmentWriter::sync`] plus one per rotation, failed
+    /// ones included. Syncs are what a commit pays the disk for, so
+    /// this is the count that shows how many commits share one.
+    pub fn syncs(&self) -> u64 {
+        self.syncs.load(Ordering::Relaxed)
+    }
+
+    /// Count this writer's syncs in `counter` from now on — one counter
+    /// shared by several writers sums their syncs, readable without
+    /// taking any writer's lock.
+    pub fn count_syncs_in(mut self, counter: Arc<AtomicU64>) -> SegmentWriter {
+        self.syncs = counter;
+        self
+    }
+
     /// Has a write/sync failure sealed this writer? (Diagnostics; the
     /// service surfaces the sealed state as commit errors.)
     pub fn is_sealed(&self) -> bool {
@@ -387,7 +414,8 @@ mod tests {
         let dir = temp_dir("reopen");
         {
             let mut w = SegmentWriter::open(&dir, 0, DEFAULT_SEGMENT_BYTES).unwrap();
-            w.append(&record(1), FsyncPolicy::Always).unwrap();
+            w.append(&record(1), FsyncPolicy::Epoch).unwrap();
+            w.sync().unwrap();
             w.append(&record(2), FsyncPolicy::Off).unwrap();
             w.sync().unwrap();
         }
@@ -432,8 +460,9 @@ mod tests {
     fn torn_tail_is_detected_and_valid_prefix_preserved() {
         let dir = temp_dir("torn");
         let mut w = SegmentWriter::open(&dir, 0, DEFAULT_SEGMENT_BYTES).unwrap();
-        w.append(&record(1), FsyncPolicy::Always).unwrap();
-        w.append(&record(2), FsyncPolicy::Always).unwrap();
+        w.append(&record(1), FsyncPolicy::Epoch).unwrap();
+        w.append(&record(2), FsyncPolicy::Epoch).unwrap();
+        w.sync().unwrap();
         drop(w);
         let path = scan_segments(&dir).unwrap()[0].path.clone();
         let original = std::fs::read(&path).unwrap();
@@ -476,7 +505,8 @@ mod tests {
         assert!(contents.records.is_empty());
         // The writer re-initializes it.
         let mut w = SegmentWriter::open(&dir, 0, DEFAULT_SEGMENT_BYTES).unwrap();
-        w.append(&record(9), FsyncPolicy::Always).unwrap();
+        w.append(&record(9), FsyncPolicy::Epoch).unwrap();
+        w.sync().unwrap();
         drop(w);
         let contents = read_segment(&path).unwrap();
         assert!(!contents.torn);
@@ -488,8 +518,9 @@ mod tests {
     fn checkpoint_rotation_closes_the_series_and_keeps_appending() {
         let dir = temp_dir("ckpt-rotate");
         let mut w = SegmentWriter::open(&dir, 1, DEFAULT_SEGMENT_BYTES).unwrap();
-        w.append(&record(1), FsyncPolicy::Always).unwrap();
-        w.append(&record(2), FsyncPolicy::Always).unwrap();
+        w.append(&record(1), FsyncPolicy::Epoch).unwrap();
+        w.append(&record(2), FsyncPolicy::Epoch).unwrap();
+        w.sync().unwrap();
         let closed = w.rotate_for_checkpoint().unwrap();
         assert_eq!(closed.len(), 1, "one closed segment");
         assert_eq!(w.current_segment(), 1);
@@ -499,7 +530,8 @@ mod tests {
         assert_eq!(contents.records.len(), 2);
         // Appends continue in the fresh segment; deleting the closed
         // one (the checkpoint's phase 3) leaves a clean series.
-        w.append(&record(3), FsyncPolicy::Always).unwrap();
+        w.append(&record(3), FsyncPolicy::Epoch).unwrap();
+        w.sync().unwrap();
         std::fs::remove_file(&closed[0]).unwrap();
         let segments = scan_segments(&dir).unwrap();
         assert_eq!(segments.len(), 1);
@@ -543,7 +575,8 @@ mod tests {
     fn sealed_writer_refuses_checkpoint_rotation() {
         let dir = temp_dir("ckpt-sealed");
         let mut w = SegmentWriter::open(&dir, 0, DEFAULT_SEGMENT_BYTES).unwrap();
-        w.append(&record(1), FsyncPolicy::Always).unwrap();
+        w.append(&record(1), FsyncPolicy::Epoch).unwrap();
+        w.sync().unwrap();
         w.sealed = true;
         assert!(matches!(
             w.rotate_for_checkpoint(),
@@ -566,7 +599,8 @@ mod tests {
         assert_eq!(segments[0].seg, 0);
         assert!(read_segment(&segments[0].path).unwrap().records.is_empty());
         // Still appendable after reset.
-        w.append(&record(7), FsyncPolicy::Always).unwrap();
+        w.append(&record(7), FsyncPolicy::Epoch).unwrap();
+        w.sync().unwrap();
         drop(w);
         let contents = read_segment(&segments[0].path).unwrap();
         assert_eq!(contents.records.len(), 1);
@@ -577,7 +611,8 @@ mod tests {
     fn sealed_writer_rejects_appends_until_reset() {
         let dir = temp_dir("sealed");
         let mut w = SegmentWriter::open(&dir, 0, DEFAULT_SEGMENT_BYTES).unwrap();
-        w.append(&record(1), FsyncPolicy::Always).unwrap();
+        w.append(&record(1), FsyncPolicy::Epoch).unwrap();
+        w.sync().unwrap();
         assert!(!w.is_sealed());
         // Simulate the aftermath of a failed write: the tail may be
         // torn, so the writer must refuse to bury further records
@@ -591,12 +626,41 @@ mod tests {
         // A checkpoint reset rebuilds the series and unseals.
         w.reset().unwrap();
         assert!(!w.is_sealed());
-        w.append(&record(3), FsyncPolicy::Always).unwrap();
+        w.append(&record(3), FsyncPolicy::Epoch).unwrap();
+        w.sync().unwrap();
         let segments = scan_segments(&dir).unwrap();
         assert_eq!(segments.len(), 1);
         let contents = read_segment(&segments[0].path).unwrap();
         assert_eq!(contents.records.len(), 1);
         assert_eq!(contents.records[0].first_seq(), 3);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn syncs_count_each_fdatasync_and_no_append() {
+        let dir = temp_dir("syncs");
+        let mut w = SegmentWriter::open(&dir, 0, DEFAULT_SEGMENT_BYTES).unwrap();
+        assert_eq!(w.syncs(), 0, "opening a series is not an epoch sync");
+        for seq in 1..=3 {
+            w.append(&record(seq), FsyncPolicy::Epoch).unwrap();
+        }
+        assert_eq!(w.syncs(), 0, "appends never sync");
+        w.sync().unwrap();
+        assert_eq!(w.syncs(), 1, "one epoch, one sync");
+        w.append(&record(4), FsyncPolicy::Epoch).unwrap();
+        w.rotate_for_checkpoint().unwrap();
+        assert_eq!(w.syncs(), 2, "closing a segment syncs it");
+
+        // Writers sharing a counter sum their syncs into it.
+        let shared = Arc::new(AtomicU64::new(0));
+        let mut a = w.count_syncs_in(Arc::clone(&shared));
+        let mut b = SegmentWriter::open(&dir, 1, DEFAULT_SEGMENT_BYTES)
+            .unwrap()
+            .count_syncs_in(Arc::clone(&shared));
+        a.sync().unwrap();
+        b.sync().unwrap();
+        b.sync().unwrap();
+        assert_eq!((a.syncs(), shared.load(Ordering::Relaxed)), (3, 3));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
