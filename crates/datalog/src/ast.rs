@@ -2,7 +2,6 @@
 //! delta predicates.
 
 use birds_store::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -11,7 +10,7 @@ use std::fmt;
 /// Anonymous variables (`_`) are expanded by the parser into fresh variables
 /// named `_#k`; [`Term::is_anonymous`] recognizes them (the linear-view
 /// restriction of Definition 3.2 forbids them inside view atoms).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Term {
     /// A variable (uppercase by convention).
     Var(String),
@@ -54,7 +53,7 @@ impl Term {
 
 /// Whether a predicate reference denotes the relation itself or one of its
 /// delta relations (paper §3.1) / the post-update relation (§4.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DeltaKind {
     /// The plain relation `r`.
     None,
@@ -68,7 +67,7 @@ pub enum DeltaKind {
 }
 
 /// A reference to a predicate: base name plus delta kind.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PredRef {
     /// Base relation name.
     pub name: String,
@@ -138,7 +137,7 @@ impl fmt::Display for PredRef {
 }
 
 /// An atom `p(t1, …, tk)`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Atom {
     /// The predicate being applied.
     pub pred: PredRef,
@@ -169,7 +168,7 @@ impl Atom {
 }
 
 /// Builtin comparison operators. `≠` is represented as a negated `Eq`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// `=`
     Eq,
@@ -214,7 +213,7 @@ impl CmpOp {
 
 /// A body literal: a possibly negated atom, or a possibly negated builtin
 /// comparison.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Literal {
     /// `p(~t)` or `not p(~t)`.
     Atom {
@@ -280,7 +279,7 @@ impl Literal {
 }
 
 /// A rule head: an atom, or `⊥` for integrity constraints (§3.2.3).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Head {
     /// Ordinary rule head.
     Atom(Atom),
@@ -300,7 +299,7 @@ impl Head {
 }
 
 /// A Datalog rule `H :- L1, …, Ln.`
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Rule {
     /// Rule head (atom or `⊥`).
     pub head: Head,
@@ -424,7 +423,7 @@ impl Rule {
 
 /// A Datalog program: a finite, nonempty set of rules (kept in source
 /// order).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Program {
     /// Rules in source order.
     pub rules: Vec<Rule>,

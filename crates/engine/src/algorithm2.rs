@@ -28,8 +28,9 @@ use std::collections::HashSet;
 /// Derive the merged, normalized view delta for a statement sequence.
 ///
 /// The result is *effective* w.r.t. the stored view: insertions are not
-/// already present, deletions are present (this normalization is what the
-/// incremental programs and rollback logic rely on).
+/// already present, deletions are present (the incremental programs, and
+/// the engine's reads of `V′` through the pending delta, rely on this
+/// normalization).
 pub fn derive_view_delta(
     view: &Relation,
     schema: &Schema,

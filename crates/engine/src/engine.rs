@@ -168,19 +168,17 @@ impl ConstraintCheck {
             .collect()
     }
 
-    /// An evaluation context ready for `self.rule`: the `Δ⁺V` overlay
-    /// (fast path) and the materialized support intermediates.
+    /// An evaluation context for `self.rule`, reading through `closure`,
+    /// with the `Δ⁺V` overlay (fast path) and the support intermediates.
     fn context<'a>(
         &self,
         db: &'a mut Database,
         plans: &'a mut PlanCache,
         read_trace: Option<&'a Mutex<BTreeSet<String>>>,
+        closure: &'a DeltaSet,
         insertions: &Relation,
     ) -> EngineResult<EvalContext<'a>> {
-        let mut ctx = EvalContext::with_plan_cache(db, plans);
-        if let Some(sink) = read_trace {
-            ctx.trace_reads_into(sink);
-        }
+        let mut ctx = reading(db, plans, read_trace, closure);
         if self.reads_insertions {
             ctx.insert_overlay(insertions.clone());
         }
@@ -278,16 +276,12 @@ impl Engine {
             .views
             .get_mut(view)
             .ok_or_else(|| EngineError::NotAView(view.to_owned()))?;
-        let arity = rv.strategy.view.arity();
-        let insertions = Relation::new(PredRef::ins(view).flat_name(), arity);
-        let program = rv.incremental.as_ref().unwrap_or(&rv.strategy.putdelta);
+        let none = DeltaSet::new();
+        let insertions = rv.insertions(std::iter::empty())?;
         let mut plans = Vec::new();
         {
-            let mut ctx = EvalContext::with_plan_cache(&mut self.db, &mut rv.plans);
-            if rv.mode == StrategyMode::Incremental {
-                ctx.insert_overlay(insertions.clone());
-                ctx.insert_overlay(Relation::new(PredRef::del(view).flat_name(), arity));
-            }
+            let overlays = (&insertions, &HashSet::new());
+            let (mut ctx, program) = rv.put(&mut self.db, None, &none, overlays)?;
             // Materialize the intermediates so every rule can be planned.
             let out = evaluate_program(program, &mut ctx)?;
             for (_, rel) in out.relations {
@@ -298,7 +292,7 @@ impl Engine {
             }
         }
         for check in &rv.checks {
-            let mut ctx = check.context(&mut self.db, &mut rv.plans, None, &insertions)?;
+            let mut ctx = check.context(&mut self.db, &mut rv.plans, None, &none, &insertions)?;
             plans.push((check.rule.clone(), ctx.plan_for(&check.rule)?));
         }
         Ok(plans)
@@ -624,70 +618,50 @@ impl Engine {
         // view relation into the database — a live service re-splits the
         // engine after a failed registration and a leaked relation would
         // silently become a free singleton shard.
-        let mut plans = PlanCache::new();
-        let incremental = match self.warm_up_registration(&name, &strategy, mode, &mut plans) {
-            Ok(incremental) => incremental,
+        match self.prepare(strategy, get, mode) {
+            Ok(rv) => {
+                self.views.insert(name, rv);
+                Ok(())
+            }
             Err(e) => {
                 self.db.remove_relation(&name);
-                return Err(e);
+                Err(e)
             }
-        };
-        let footprint = compute_footprint(&self.db, &self.views, &strategy, &get, &incremental);
-        let checks = ConstraintCheck::prepare_all(&strategy);
-        self.views.insert(
-            name,
-            RegisteredView {
-                strategy,
-                get,
-                incremental,
-                mode,
-                footprint,
-                checks,
-                plans,
-            },
-        );
-        Ok(())
+        }
     }
 
-    /// Incrementalize (when asked) and run the warm-up evaluation for a
-    /// view being registered, compiling its plans into `plans`. Factored
-    /// out of [`Engine::register_view_unchecked`] so the caller can roll
-    /// the materialized relation back if either step fails.
-    fn warm_up_registration(
+    /// Incrementalize (when asked) and prepare a view being registered,
+    /// then warm it up with an empty view delta: the planner builds every
+    /// base-table index the plans probe, so the first real update doesn't
+    /// pay an O(|S|) index build (the paper's PostgreSQL setup has its
+    /// B-trees before measuring), and compiles the plans updates replay.
+    fn prepare(
         &mut self,
-        name: &str,
-        strategy: &UpdateStrategy,
+        strategy: UpdateStrategy,
+        get: Program,
         mode: StrategyMode,
-        plans: &mut PlanCache,
-    ) -> EngineResult<Option<Program>> {
-        let incremental = if mode == StrategyMode::Incremental {
-            Some(incrementalize(strategy).map_err(|e| EngineError::Registration(e.to_string()))?)
-        } else {
-            None
+    ) -> EngineResult<RegisteredView> {
+        let incremental = match mode {
+            StrategyMode::Incremental => Some(
+                incrementalize(&strategy).map_err(|e| EngineError::Registration(e.to_string()))?,
+            ),
+            StrategyMode::Original => None,
         };
-        // Warm-up evaluation with an empty view delta: forces the planner
-        // to build every base-table index the strategy's plans probe, so
-        // the first real update doesn't pay an O(|S|) index build (the
-        // paper's PostgreSQL setup has its B-trees before measuring). The
-        // warm-up also compiles the view's plans, delta-first, and real
-        // updates replay them.
-        let program = incremental.as_ref().unwrap_or(&strategy.putdelta);
-        let mut ctx = EvalContext::with_plan_cache(&mut self.db, plans);
-        if let Some(sink) = self.read_trace.as_deref() {
-            ctx.trace_reads_into(sink);
-        }
-        if mode == StrategyMode::Incremental {
-            ctx.insert_overlay(Relation::new(
-                PredRef::ins(name).flat_name(),
-                strategy.view.arity(),
-            ));
-            ctx.insert_overlay(Relation::new(
-                PredRef::del(name).flat_name(),
-                strategy.view.arity(),
-            ));
-        }
-        let _ = evaluate_program(program, &mut ctx)?;
-        Ok(incremental)
+        let mut rv = RegisteredView {
+            footprint: compute_footprint(&self.db, &self.views, &strategy, &get, &incremental),
+            checks: ConstraintCheck::prepare_all(&strategy),
+            strategy,
+            get,
+            incremental,
+            mode,
+            plans: PlanCache::new(),
+        };
+        let (none, insertions) = (DeltaSet::new(), rv.insertions(std::iter::empty())?);
+        let overlays = (&insertions, &HashSet::new());
+        let (mut ctx, program) =
+            rv.put(&mut self.db, self.read_trace.as_deref(), &none, overlays)?;
+        evaluate_program(program, &mut ctx)?;
+        Ok(rv)
     }
 
     /// Re-materialize a registered view from its get definition (used
@@ -724,30 +698,23 @@ impl Engine {
 
     /// Execute a view-update transaction from pre-parsed statements (the
     /// service layer parses once per request and batches statements, so it
-    /// must not pay a re-serialize/re-parse round trip per transaction).
+    /// must not pay a re-serialize/re-parse round trip per transaction):
+    /// [`Engine::derive_delta`], then [`Engine::apply_delta`].
     pub fn execute_statements(
         &mut self,
         statements: &[DmlStatement],
     ) -> EngineResult<ExecutionStats> {
-        if statements.is_empty() {
+        let Some(first) = statements.first() else {
             return Ok(ExecutionStats::default());
-        }
-        let table = statements[0].table().to_owned();
-        if statements.iter().any(|s| s.table() != table) {
+        };
+        let view = first.table();
+        if statements.iter().any(|s| s.table() != view) {
             return Err(EngineError::BadStatement(
                 "a transaction must target a single view".into(),
             ));
         }
-        let rv = self
-            .views
-            .get(&table)
-            .ok_or_else(|| EngineError::NotAView(table.clone()))?;
-        let view_rel = self
-            .db
-            .relation(&table)
-            .ok_or_else(|| EngineError::NotAView(table.clone()))?;
-        let delta = derive_view_delta(view_rel, &rv.strategy.view, statements)?;
-        self.apply_atomically(&table, delta)
+        let delta = self.derive_delta(view, statements)?;
+        self.apply_delta(view, delta)
     }
 
     /// Derive the net (normalized, effective) view delta of a statement
@@ -776,13 +743,9 @@ impl Engine {
     /// current view state first (insertions already present and deletions
     /// already absent are dropped), so a delta derived earlier in a
     /// session stays safe to apply after unrelated updates. The
-    /// transaction is atomic: constraint violations and contradictory
-    /// source deltas roll the view back.
-    pub fn apply_delta(
-        &mut self,
-        view_name: &str,
-        mut delta: Delta,
-    ) -> EngineResult<ExecutionStats> {
+    /// transaction is atomic: its whole closure (ΔV, ΔS and every cascade)
+    /// is derived first, then one [`DeltaSet::apply_to`] writes it.
+    pub fn apply_delta(&mut self, view_name: &str, delta: Delta) -> EngineResult<ExecutionStats> {
         let rv = self
             .views
             .get(view_name)
@@ -799,45 +762,42 @@ impl Engine {
                 t.arity()
             )));
         }
-        let view_rel = self
-            .db
-            .relation(view_name)
-            .ok_or_else(|| EngineError::NotAView(view_name.to_owned()))?;
-        delta.normalize_against(view_rel);
-        self.apply_atomically(view_name, delta)
+        let mut closure = DeltaSet::new();
+        let stats = self.derive(view_name, delta, 0, &mut closure)?;
+        closure.apply_to(&mut self.db)?;
+        Ok(stats)
     }
 
-    /// Apply a top-level view delta, cascades included, as one atomic
-    /// step: every effective change is recorded as it lands (the view,
-    /// its base tables, each sub-view and theirs), and on any error the
-    /// record is replayed backwards, so a cascade rejected deep down
-    /// leaves no relation changed.
-    fn apply_atomically(&mut self, view_name: &str, delta: Delta) -> EngineResult<ExecutionStats> {
-        let mut undo = Vec::new();
-        let applied = self.apply_view_delta(view_name, delta, 0, &mut undo);
-        if applied.is_err() {
-            for (name, change) in undo.iter().rev() {
-                mutate_relation(&mut self.db, name, change, true)?;
-            }
-        }
-        applied
-    }
-
-    /// Apply an (effective, normalized) view delta to a registered view:
-    /// the trigger pipeline of §6.1. Every change that reaches the
-    /// database is pushed to `undo` (see [`Engine::apply_atomically`]).
-    fn apply_view_delta(
+    /// Derive the closure of a view delta into `closure`: the trigger
+    /// pipeline of §6.1, reading every stored relation through its closure
+    /// entry, so nothing here writes a tuple (planning may build indexes).
+    /// ΔS joins the closure, a base table's delta directly and a view's by
+    /// deriving its closure in turn.
+    fn derive(
         &mut self,
         view_name: &str,
-        delta: Delta,
+        mut delta: Delta,
         depth: usize,
-        undo: &mut Vec<(String, Delta)>,
+        closure: &mut DeltaSet,
     ) -> EngineResult<ExecutionStats> {
         if depth > 8 {
             return Err(EngineError::Eval(
                 "view update cascade exceeded depth limit".into(),
             ));
         }
+        let rv = self
+            .views
+            .get_mut(view_name)
+            .ok_or_else(|| EngineError::NotAView(view_name.to_owned()))?;
+        let view = self
+            .db
+            .relation(view_name)
+            .ok_or_else(|| EngineError::NotAView(view_name.to_owned()))?;
+        let pending = closure.get(view_name);
+        delta.normalize_by(|t| match pending {
+            None => view.contains(t),
+            Some(p) => p.insertions.contains(t) || (view.contains(t) && !p.deletions.contains(t)),
+        });
         let mut stats = ExecutionStats {
             view_delta_size: delta.len(),
             ..Default::default()
@@ -845,65 +805,26 @@ impl Engine {
         if delta.is_empty() {
             return Ok(stats);
         }
-        // Borrow the registered strategy in place for the whole delta
-        // computation + constraint check: no per-update clone of the
-        // strategy or its incrementalized program.
-        let rv = self
-            .views
-            .get_mut(view_name)
-            .ok_or_else(|| EngineError::NotAView(view_name.to_owned()))?;
-        let mode = rv.mode;
         // The `Δ⁺V` overlay, shared by ∂put and the constraint checks.
-        let insertions = Relation::with_tuples(
-            PredRef::ins(view_name).flat_name(),
-            rv.strategy.view.arity(),
-            delta.insertions.iter().cloned(),
-        )?;
-        // Compute ΔS. In incremental mode the program reads the OLD view
-        // plus the delta relations; in original mode it reads the updated
-        // view V′, so we mutate the materialized view first.
-        let delta_set: DeltaSet = match mode {
-            StrategyMode::Incremental => {
-                let program = rv.incremental.as_ref().expect("incremental mode has ∂put");
-                let mut ctx = EvalContext::with_plan_cache(&mut self.db, &mut rv.plans);
-                if let Some(sink) = self.read_trace.as_deref() {
-                    ctx.trace_reads_into(sink);
-                }
-                ctx.insert_overlay(insertions.clone());
-                ctx.insert_overlay(Relation::with_tuples(
-                    PredRef::del(view_name).flat_name(),
-                    rv.strategy.view.arity(),
-                    delta.deletions.iter().cloned(),
-                )?);
-                let out = evaluate_program(program, &mut ctx)?;
-                collect_delta_set(&rv.strategy, out.relations)
-            }
-            StrategyMode::Original => {
-                mutate_relation(&mut self.db, view_name, &delta, false)?;
-                undo.push((view_name.to_owned(), delta.clone()));
-                let mut ctx = EvalContext::with_plan_cache(&mut self.db, &mut rv.plans);
-                if let Some(sink) = self.read_trace.as_deref() {
-                    ctx.trace_reads_into(sink);
-                }
-                let out = evaluate_program(&rv.strategy.putdelta, &mut ctx)?;
-                collect_delta_set(&rv.strategy, out.relations)
-            }
-        };
-
-        // For the incremental path, the constraints are checked against
-        // the updated view, so mutate now.
-        if mode == StrategyMode::Incremental {
-            mutate_relation(&mut self.db, view_name, &delta, false)?;
-            undo.push((view_name.to_owned(), delta));
+        let insertions = rv.insertions(delta.insertions.iter().cloned())?;
+        // The putback reads `V′`, ∂put the `V` before this delta.
+        if rv.mode == StrategyMode::Original {
+            fold(closure, &self.db, view_name, delta.clone());
         }
-
-        // Constraint check over (S, V′).
-        check_constraints(
+        let out = {
+            let overlays = (&insertions, &delta.deletions);
+            let (mut ctx, program) =
+                rv.put(&mut self.db, self.read_trace.as_deref(), closure, overlays)?;
+            evaluate_program(program, &mut ctx)?
+        };
+        let delta_set = collect_delta_set(&rv.strategy, out.relations);
+        if rv.mode == StrategyMode::Incremental {
+            fold(closure, &self.db, view_name, delta);
+        }
+        rv.check_constraints(
             &mut self.db,
-            &mut rv.plans,
             self.read_trace.as_deref(),
-            view_name,
-            &rv.checks,
+            closure,
             &insertions,
         )?;
         if !delta_set.is_non_contradictory() {
@@ -912,86 +833,113 @@ impl Engine {
             )));
         }
         stats.source_delta_size = delta_set.len();
-
-        // Apply ΔS, each relation's delta normalized against its current
-        // state so the undo record is exact: base tables directly,
-        // registered views by cascading.
-        let mut cascades: Vec<(String, Delta)> = Vec::new();
-        for (rel_name, d) in delta_set.iter() {
-            if d.is_empty() {
-                continue;
+        let mut cascades = Vec::new();
+        for (name, d) in delta_set.iter().filter(|(_, d)| !d.is_empty()) {
+            if !self.db.contains_relation(name) {
+                return Err(EngineError::Store(format!("unknown relation '{name}'")));
             }
-            let rel = self
-                .db
-                .relation(rel_name)
-                .ok_or_else(|| EngineError::Store(format!("unknown relation '{rel_name}'")))?;
-            let mut eff = d.clone();
-            eff.normalize_against(rel);
-            if self.views.contains_key(rel_name) {
-                cascades.push((rel_name.to_owned(), eff));
+            if self.views.contains_key(name) {
+                cascades.push((name, d.clone()));
             } else {
-                // Recorded even on failure: undoing a normalized delta is
-                // exact when applying it stopped part-way.
-                let applied = mutate_relation(&mut self.db, rel_name, &eff, false);
-                undo.push((rel_name.to_owned(), eff));
-                applied?;
+                fold(closure, &self.db, name, d.clone());
             }
         }
         for (sub_view, sub_delta) in cascades {
-            stats.cascades += 1;
-            let sub_stats = self.apply_view_delta(&sub_view, sub_delta, depth + 1, undo)?;
-            stats.cascades += sub_stats.cascades;
+            stats.cascades += 1 + self
+                .derive(sub_view, sub_delta, depth + 1, closure)?
+                .cascades;
         }
         Ok(stats)
     }
 }
 
-/// Apply (or roll back) an effective delta on a stored relation.
-fn mutate_relation(
-    db: &mut Database,
-    name: &str,
-    delta: &Delta,
-    rollback: bool,
-) -> EngineResult<()> {
-    let rel = db
-        .relation_mut(name)
-        .ok_or_else(|| EngineError::NotAView(name.to_owned()))?;
-    let (ins, del) = if rollback {
-        (&delta.deletions, &delta.insertions)
-    } else {
-        (&delta.insertions, &delta.deletions)
-    };
-    for t in del {
-        rel.remove(t);
+impl RegisteredView {
+    /// The view's `Δ⁺V` overlay, holding `tuples`.
+    fn insertions(&self, tuples: impl IntoIterator<Item = Tuple>) -> EngineResult<Relation> {
+        let view = &self.strategy.view;
+        let name = PredRef::ins(&view.name).flat_name();
+        Ok(Relation::with_tuples(name, view.arity(), tuples)?)
     }
-    for t in ins {
-        rel.insert(t.clone())?;
+
+    /// An evaluation context reading through `closure`, and the program to
+    /// run in it: `∂put` over the `±V` overlays in incremental mode, the
+    /// putback (which reads `V′` through `closure`) in original mode.
+    fn put<'a>(
+        &'a mut self,
+        db: &'a mut Database,
+        read_trace: Option<&'a Mutex<BTreeSet<String>>>,
+        closure: &'a DeltaSet,
+        (insertions, deletions): (&Relation, &HashSet<Tuple>),
+    ) -> EngineResult<(EvalContext<'a>, &'a Program)> {
+        let mut ctx = reading(db, &mut self.plans, read_trace, closure);
+        let Some(dput) = &self.incremental else {
+            return Ok((ctx, &self.strategy.putdelta));
+        };
+        let view = &self.strategy.view;
+        let del = PredRef::del(&view.name).flat_name();
+        ctx.insert_overlay(insertions.clone());
+        ctx.insert_overlay(Relation::with_tuples(
+            del,
+            view.arity(),
+            deletions.iter().cloned(),
+        )?);
+        Ok((ctx, dput))
     }
-    Ok(())
+
+    /// Check the view's prepared constraints against `(S, V′)` as
+    /// `closure` leaves them (see [`ConstraintCheck`] for the `Δ⁺V` fast
+    /// path).
+    fn check_constraints(
+        &mut self,
+        db: &mut Database,
+        read_trace: Option<&Mutex<BTreeSet<String>>>,
+        closure: &DeltaSet,
+        insertions: &Relation,
+    ) -> EngineResult<()> {
+        for check in &self.checks {
+            let mut ctx = check.context(db, &mut self.plans, read_trace, closure, insertions)?;
+            if rule_has_witness(&check.rule, &mut ctx)? {
+                return Err(EngineError::ConstraintViolation {
+                    view: self.strategy.view.name.clone(),
+                    constraint: check.constraint.to_string(),
+                });
+            }
+        }
+        Ok(())
+    }
 }
 
-/// Check a view's prepared constraints against the current `(S, V′)`
-/// (see [`ConstraintCheck`] for the `Δ⁺V` fast path). A free function so
-/// the caller can keep its borrow of the registered view while lending
-/// `db` and the plan cache.
-fn check_constraints(
-    db: &mut Database,
-    plans: &mut PlanCache,
-    read_trace: Option<&Mutex<BTreeSet<String>>>,
-    view: &str,
-    checks: &[ConstraintCheck],
-    insertions: &Relation,
-) -> EngineResult<()> {
-    for check in checks {
-        let mut ctx = check.context(db, plans, read_trace, insertions)?;
-        if rule_has_witness(&check.rule, &mut ctx)? {
-            return Err(EngineError::ConstraintViolation {
-                view: view.to_owned(),
-                constraint: check.constraint.to_string(),
-            });
-        }
+/// Merge `delta` into `name`'s closure entry and normalize the entry
+/// against the stored tuples, so it stays the net effect of everything
+/// the commit derived for that relation.
+fn fold(closure: &mut DeltaSet, db: &Database, name: &str, delta: Delta) {
+    let entry = closure.entry(name);
+    if entry.is_empty() {
+        *entry = delta;
+    } else {
+        entry.merge(delta);
     }
-    Ok(())
+    if let Some(rel) = db.relation(name) {
+        entry.normalize_against(rel);
+    }
+}
+
+/// An evaluation context over `db` that lends `plans` and the read trace
+/// and reads every relation `closure` changes through its pending delta.
+fn reading<'a>(
+    db: &'a mut Database,
+    plans: &'a mut PlanCache,
+    read_trace: Option<&'a Mutex<BTreeSet<String>>>,
+    closure: &'a DeltaSet,
+) -> EvalContext<'a> {
+    let mut ctx = EvalContext::with_plan_cache(db, plans);
+    if let Some(sink) = read_trace {
+        ctx.trace_reads_into(sink);
+    }
+    for (name, delta) in closure.iter().filter(|(_, d)| !d.is_empty()) {
+        ctx.patch(name, delta);
+    }
+    ctx
 }
 
 /// Compute a view's dependency footprint at registration time.
@@ -1089,24 +1037,16 @@ fn collect_delta_set(
     relations: BTreeMap<PredRef, Relation>,
 ) -> DeltaSet {
     let mut ds = DeltaSet::new();
-    for schema in &strategy.source_schema.relations {
-        ds.entry(&schema.name); // ensure an entry per source
-    }
     for (pred, rel) in relations {
         if strategy.source_schema.get(&pred.name).is_none() {
             continue;
         }
-        match pred.kind {
-            DeltaKind::Insert => {
-                let entry = ds.entry(&pred.name);
-                entry.insertions.extend(rel.tuples().iter().cloned());
-            }
-            DeltaKind::Delete => {
-                let entry = ds.entry(&pred.name);
-                entry.deletions.extend(rel.tuples().iter().cloned());
-            }
-            _ => {}
-        }
+        let entry = match pred.kind {
+            DeltaKind::Insert => &mut ds.entry(&pred.name).insertions,
+            DeltaKind::Delete => &mut ds.entry(&pred.name).deletions,
+            _ => continue,
+        };
+        entry.extend(rel.into_tuples());
     }
     ds
 }
@@ -1702,5 +1642,163 @@ mod tests {
         let misses = c1.plan_cache().misses();
         c1.execute("INSERT INTO v1 VALUES (9);").unwrap();
         assert_eq!(c1.plan_cache().misses(), misses);
+    }
+
+    /// The `rejected_cascade_leaves_every_relation_unchanged` fixture
+    /// (`w = σ_{a>2}(v)` over `v = r1 ∪ r2`, where `v` rejects values
+    /// above 100), topped by `x`, a copy of `w` whose putback compares
+    /// each inserted value with 0: an update on `x` cascades
+    /// `x → w → v`, so `v`'s constraint is checked at cascade depth 2.
+    fn cascade_tower(mode: StrategyMode) -> Engine {
+        let mut db = Database::new();
+        db.add_relation(Relation::with_tuples("r1", 1, vec![tuple![1], tuple![3]]).unwrap())
+            .unwrap();
+        db.add_relation(Relation::with_tuples("r2", 1, vec![tuple![8]]).unwrap())
+            .unwrap();
+        let mut engine = Engine::new(db);
+        let int = |name: &str| Schema::new(name, vec![("a", SortKind::Int)]);
+        let v_strategy = UpdateStrategy::parse(
+            DatabaseSchema::new().with(int("r1")).with(int("r2")),
+            int("v"),
+            "
+            false :- v(X), X > 100.
+            -r1(X) :- r1(X), not v(X).
+            -r2(X) :- r2(X), not v(X).
+            +r1(X) :- v(X), not r1(X), not r2(X).
+            ",
+            None,
+        )
+        .unwrap();
+        let v_get = parse_program("v(X) :- r1(X). v(X) :- r2(X).").unwrap();
+        engine
+            .register_view_unchecked(v_strategy, v_get, mode)
+            .unwrap();
+        let w_strategy = UpdateStrategy::parse(
+            DatabaseSchema::new().with(int("v")),
+            int("w"),
+            "
+            false :- w(X), not X > 2.
+            +v(X) :- w(X), not v(X).
+            mv(X) :- v(X), X > 2.
+            -v(X) :- mv(X), not w(X).
+            ",
+            None,
+        )
+        .unwrap();
+        engine.register_view(w_strategy, mode).unwrap();
+        let x_strategy = UpdateStrategy::parse(
+            DatabaseSchema::new().with(int("w")),
+            int("x"),
+            "
+            +w(X) :- x(X), not w(X), X > 0.
+            -w(X) :- w(X), not x(X).
+            ",
+            None,
+        )
+        .unwrap();
+        let x_get = parse_program("x(X) :- w(X).").unwrap();
+        engine
+            .register_view_unchecked(x_strategy, x_get, mode)
+            .unwrap();
+        engine
+    }
+
+    /// Run a rejected update and check that it wrote no tuple: every
+    /// relation's published version before and after is the same set, by
+    /// pointer (a write undone afterwards would publish a new buffer).
+    fn rejected_without_a_write(engine: &mut Engine, sql: &str) -> EngineError {
+        let before = engine.relation_versions();
+        let err = engine.execute(sql).unwrap_err();
+        let after = engine.relation_versions();
+        assert_eq!(before.len(), after.len());
+        for (b, a) in before.iter().zip(&after) {
+            assert_eq!(b.name(), a.name());
+            assert!(
+                std::ptr::eq(b.tuples(), a.tuples()),
+                "'{}' was written by the rejected update `{sql}` ({err})",
+                b.name()
+            );
+        }
+        err
+    }
+
+    #[test]
+    fn a_constraint_violation_at_cascade_depth_two_writes_nothing() {
+        for mode in [StrategyMode::Original, StrategyMode::Incremental] {
+            let mut engine = cascade_tower(mode);
+            let err = rejected_without_a_write(&mut engine, "INSERT INTO x VALUES (500);");
+            assert!(
+                matches!(&err, EngineError::ConstraintViolation { view, .. } if view == "v"),
+                "{mode:?}: {err}"
+            );
+            let stats = engine.execute("INSERT INTO x VALUES (50);").unwrap();
+            assert_eq!(stats.cascades, 2, "{mode:?}");
+            for name in ["x", "w", "v", "r1"] {
+                assert!(
+                    engine.relation(name).unwrap().contains(&tuple![50]),
+                    "{mode:?}: {name}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_evaluation_error_writes_nothing() {
+        // `'abc' > 0` is a sort error: in original mode it surfaces while
+        // the putback scans `x′`, the state an update used to write first.
+        for mode in [StrategyMode::Original, StrategyMode::Incremental] {
+            let mut engine = cascade_tower(mode);
+            let err = rejected_without_a_write(&mut engine, "INSERT INTO x VALUES ('abc');");
+            assert!(matches!(err, EngineError::Eval(_)), "{mode:?}: {err}");
+        }
+    }
+
+    /// A key constraint with two view atoms reads `V′` in full, through
+    /// the view's pending delta: an update that moves a key's value must
+    /// see the old tuple gone, an insert that duplicates a key must see
+    /// the new tuple.
+    #[test]
+    fn a_two_view_atom_key_constraint_reads_the_updated_view() {
+        for mode in [StrategyMode::Original, StrategyMode::Incremental] {
+            let mut db = Database::new();
+            db.add_relation(
+                Relation::with_tuples("t", 2, vec![tuple![1, "a"], tuple![2, "b"]]).unwrap(),
+            )
+            .unwrap();
+            let kv =
+                |name: &str| Schema::new(name, vec![("k", SortKind::Int), ("v", SortKind::Str)]);
+            let strategy = UpdateStrategy::parse(
+                DatabaseSchema::new().with(kv("t")),
+                kv("kv"),
+                "
+                false :- kv(K, V1), kv(K, V2), not V1 = V2.
+                +t(K, V) :- kv(K, V), not t(K, V).
+                -t(K, V) :- t(K, V), not kv(K, V).
+                ",
+                Some("kv(K, V) :- t(K, V)."),
+            )
+            .unwrap();
+            let mut engine = Engine::new(db);
+            engine.register_view(strategy, mode).unwrap();
+            let contents = |engine: &Engine, name: &str| {
+                let mut tuples: Vec<Tuple> =
+                    engine.relation(name).unwrap().iter().cloned().collect();
+                tuples.sort();
+                tuples
+            };
+            engine
+                .execute("UPDATE kv SET v = 'z' WHERE k = 1;")
+                .unwrap();
+            let expected = vec![tuple![1, "z"], tuple![2, "b"]];
+            assert_eq!(contents(&engine, "t"), expected, "{mode:?}");
+            assert_eq!(contents(&engine, "kv"), expected, "{mode:?}");
+            let err = rejected_without_a_write(&mut engine, "INSERT INTO kv VALUES (2, 'c');");
+            assert!(
+                matches!(err, EngineError::ConstraintViolation { .. }),
+                "{mode:?}: {err}"
+            );
+            assert_eq!(contents(&engine, "t"), expected, "{mode:?}");
+            assert_eq!(contents(&engine, "kv"), expected, "{mode:?}");
+        }
     }
 }

@@ -11,15 +11,17 @@
 //!
 //! 1. deriving the view delta `ΔV` from the statements (Algorithm 2 /
 //!    Appendix D, [`algorithm2`]);
-//! 2. checking the strategy's integrity constraints against `(S, V′)`;
-//! 3. computing the source delta `ΔS` by evaluating the putback program
-//!    (original mode) or the incremental program `∂put` (incremental
-//!    mode, §5) and applying it to the source relations.
+//! 2. deriving the commit without writing a tuple: the source delta `ΔS`
+//!    of the putback program (original mode, reading `V′` as `V` through
+//!    `ΔV`) or of the incremental program `∂put` (incremental mode, §5),
+//!    and the strategy's integrity constraints checked against `(S, V′)`;
+//! 3. applying `S ⊕ ΔS`, with `V ⊕ ΔV`, in one write.
 //!
 //! Views defined over other updatable views (the paper's
 //! `residents1962`-over-`residents` case study) cascade: a source delta
 //! that targets a registered view is translated into a view update on
-//! that view and processed recursively.
+//! that view and derived recursively into the same commit, which is
+//! written only once every level has passed its constraints.
 
 pub mod algorithm2;
 pub mod engine;

@@ -7,7 +7,7 @@
 //! per-call replanning — plans come from the context's [`crate::PlanCache`]
 //! and are re-planned only when a stored relation they read has drifted.
 
-use crate::context::EvalContext;
+use crate::context::{EvalContext, RelRef, Tuples};
 use crate::error::{EvalError, EvalResult};
 use crate::plan::{AtomStep, HeadTerm, RangeGuard, RulePlan, SlotTerm, StepOp};
 use birds_datalog::{check_nonrecursive, stratify, CmpOp, Head, PredRef, Program, Rule};
@@ -149,9 +149,7 @@ fn eval_rule(
     for (i, lit) in rule.body.iter().enumerate() {
         if let Some(a) = lit.atom() {
             let flat = a.pred.flat_name();
-            let rel = ctx
-                .relation(&flat)
-                .ok_or_else(|| EvalError::UnknownRelation(flat.clone()))?;
+            let rel = ctx.relation(&flat)?;
             if rel.arity() != a.arity() {
                 return Err(EvalError::ArityMismatch {
                     relation: flat,
@@ -235,7 +233,7 @@ fn fill_probe_key(a: &AtomStep, frame: &[Option<Value>], scratch: &mut Vec<Value
 /// named variables bound.
 fn atom_exists(
     a: &AtomStep,
-    rel: &Relation,
+    rel: RelRef,
     frame: &[Option<Value>],
     scratch: &mut Vec<Value>,
 ) -> bool {
@@ -315,112 +313,48 @@ fn step(
     let Some(s) = plan.steps.get(idx) else {
         return emit(rule, plan, frame, sink);
     };
-    match &s.op {
+    // An atom step yields candidate tuples, plus the guards on column
+    // `col` each must still pass (a range scan's filter fallback).
+    let (a, matches, col, filters): (_, Tuples, _, Vec<(CmpOp, Value)>) = match &s.op {
         StepOp::Scan(a) => {
-            let rel = ctx
-                .relation(&a.rel)
-                .ok_or_else(|| EvalError::UnknownRelation(a.rel.clone()))?;
-            let matches: Box<dyn Iterator<Item = &Tuple>> = if a.probe_cols.is_empty() {
-                Box::new(rel.iter())
+            let rel = ctx.relation(&a.rel)?;
+            if a.probe_cols.is_empty() {
+                (a, rel.iter(), 0, Vec::new())
             } else {
                 fill_probe_key(a, frame, scratch);
-                rel.probe(&a.probe_cols, scratch)
-            };
-            // Fresh binds are overwritten on every candidate and only read
-            // by deeper steps, so no unbinding happens on backtrack.
-            'tuples: for tuple in matches {
-                for &(col, slot) in &a.bind {
-                    frame[slot] = Some(tuple[col]);
-                }
-                for &(col, slot) in &a.check {
-                    if frame[slot] != Some(tuple[col]) {
-                        continue 'tuples;
-                    }
-                }
-                if !step(rule, plan, idx + 1, ctx, frame, scratch, sink)? {
-                    return Ok(false);
-                }
+                (a, rel.probe(&a.probe_cols, scratch), 0, Vec::new())
             }
-            Ok(true)
         }
         StepOp::RangeScan {
             atom: a,
             col,
             guards,
         } => {
-            let rel = ctx
-                .relation(&a.rel)
-                .ok_or_else(|| EvalError::UnknownRelation(a.rel.clone()))?;
+            let rel = ctx.relation(&a.rel)?;
             // Bounds resolve once per activation (they are constants or
             // slots bound before this scan).
             let resolved: Vec<(CmpOp, Value)> = guards
                 .iter()
                 .map(|g: &RangeGuard| (g.op, resolve(&g.bound, frame)))
                 .collect();
-            let range = guard_interval(&resolved).and_then(|(lo, hi)| {
-                // `range_probe` answers only from a sort-homogeneous
-                // ordered index matching the bounds' sort; anything else
-                // is `None` and takes the filter fallback below.
-                rel.range_probe(*col, lo, hi)
-            });
-            if let Some(matches) = range {
-                // Index path: every yielded tuple satisfies all guards
-                // by construction, and no comparison can sort-error
-                // (column and bounds share one sort).
-                'range: for tuple in matches {
-                    for &(c, slot) in &a.bind {
-                        frame[slot] = Some(tuple[c]);
-                    }
-                    for &(c, slot) in &a.check {
-                        if frame[slot] != Some(tuple[c]) {
-                            continue 'range;
-                        }
-                    }
-                    if !step(rule, plan, idx + 1, ctx, frame, scratch, sink)? {
-                        return Ok(false);
-                    }
-                }
-            } else {
-                // Filter fallback: scan, then apply the guards per tuple
-                // after the intra-atom checks, in guard order — exactly
-                // the residual Compare steps of the un-pushed plan,
-                // including their cross-sort errors.
-                'scan: for tuple in rel.iter() {
-                    for &(c, slot) in &a.bind {
-                        frame[slot] = Some(tuple[c]);
-                    }
-                    for &(c, slot) in &a.check {
-                        if frame[slot] != Some(tuple[c]) {
-                            continue 'scan;
-                        }
-                    }
-                    for &(op, bound) in &resolved {
-                        let cv = tuple[*col];
-                        let res = op
-                            .eval(&cv, &bound)
-                            .ok_or_else(|| EvalError::SortMismatch {
-                                rule: rule.to_string(),
-                                detail: format!("{cv} {} {bound}", op.symbol()),
-                            })?;
-                        if !res {
-                            continue 'scan;
-                        }
-                    }
-                    if !step(rule, plan, idx + 1, ctx, frame, scratch, sink)? {
-                        return Ok(false);
-                    }
-                }
+            // `range_probe` answers only from a sort-homogeneous ordered
+            // index matching the bounds' sort: every yielded tuple then
+            // satisfies all guards by construction, and no comparison can
+            // sort-error. Anything else scans and applies the guards per
+            // tuple after the intra-atom checks, in guard order — exactly
+            // the residual Compare steps of the un-pushed plan, including
+            // their cross-sort errors.
+            match guard_interval(&resolved).and_then(|(lo, hi)| rel.range_probe(*col, lo, hi)) {
+                Some(matches) => (a, matches, *col, Vec::new()),
+                None => (a, rel.iter(), *col, resolved),
             }
-            Ok(true)
         }
         StepOp::Check { atom: a, negated } => {
-            let rel = ctx
-                .relation(&a.rel)
-                .ok_or_else(|| EvalError::UnknownRelation(a.rel.clone()))?;
-            if atom_exists(a, rel, frame, scratch) != *negated {
-                return step(rule, plan, idx + 1, ctx, frame, scratch, sink);
+            let rel = ctx.relation(&a.rel)?;
+            if atom_exists(a, rel, frame, scratch) == *negated {
+                return Ok(true);
             }
-            Ok(true)
+            return step(rule, plan, idx + 1, ctx, frame, scratch, sink);
         }
         StepOp::Compare {
             op,
@@ -434,16 +368,44 @@ fn step(
                 rule: rule.to_string(),
                 detail: format!("{lv} {} {rv}", op.symbol()),
             })?;
-            if res != *negated {
-                return step(rule, plan, idx + 1, ctx, frame, scratch, sink);
+            if res == *negated {
+                return Ok(true);
             }
-            Ok(true)
+            return step(rule, plan, idx + 1, ctx, frame, scratch, sink);
         }
         StepOp::Assign { slot, value } => {
             frame[*slot] = Some(resolve(value, frame));
-            step(rule, plan, idx + 1, ctx, frame, scratch, sink)
+            return step(rule, plan, idx + 1, ctx, frame, scratch, sink);
+        }
+    };
+    // Fresh binds are overwritten on every candidate and only read by
+    // deeper steps, so no unbinding happens on backtrack.
+    'tuples: for tuple in matches {
+        for &(c, slot) in &a.bind {
+            frame[slot] = Some(tuple[c]);
+        }
+        for &(c, slot) in &a.check {
+            if frame[slot] != Some(tuple[c]) {
+                continue 'tuples;
+            }
+        }
+        for &(op, bound) in &filters {
+            let cv = tuple[col];
+            let res = op
+                .eval(&cv, &bound)
+                .ok_or_else(|| EvalError::SortMismatch {
+                    rule: rule.to_string(),
+                    detail: format!("{cv} {} {bound}", op.symbol()),
+                })?;
+            if !res {
+                continue 'tuples;
+            }
+        }
+        if !step(rule, plan, idx + 1, ctx, frame, scratch, sink)? {
+            return Ok(false);
         }
     }
+    Ok(true)
 }
 
 #[cfg(test)]

@@ -605,9 +605,7 @@ struct JoinRank {
 impl JoinRank {
     fn of(atom: &Atom, slots: &SlotMap, ctx: &EvalContext) -> EvalResult<JoinRank> {
         let flat = atom.pred.flat_name();
-        let size = ctx
-            .relation_len(&flat)
-            .ok_or_else(|| EvalError::UnknownRelation(flat.clone()))?;
+        let size = ctx.relation(&flat)?.len();
         let bound = bound_positions(&atom.terms, slots);
         let mut est = size;
         for &c in &bound {

@@ -1,9 +1,9 @@
 //! A minimal JSON value with a recursive-descent parser and two writers.
 //!
-//! The build environment's `serde` is an offline stub with no
-//! serializer/deserializer, and the service protocol plus the benchmark
-//! trajectory files only need plain JSON trees — so this module carries
-//! the ~300 lines of JSON the workspace actually uses. Objects preserve
+//! The workspace builds offline with no serialization crate, and the
+//! service protocol plus the benchmark trajectory files only need plain
+//! JSON trees — so this module carries the ~300 lines of JSON the
+//! workspace actually uses. Objects preserve
 //! insertion order (they are association lists), which keeps re-written
 //! benchmark documents diffable; numbers distinguish integers from
 //! floats so `"base_size": 1000000` survives a parse → serialize round

@@ -89,13 +89,14 @@
 //!   bounded-queue backpressure, `--max-conns` is enforced live at
 //!   accept time, and SIGTERM/[`Server::shutdown`] drain gracefully.
 //! * [`json`] — the minimal JSON tree the protocol and the committed
-//!   `BENCH_*.json` trajectory documents share (the offline `serde` stub
-//!   has no serializer).
+//!   `BENCH_*.json` trajectory documents share (the workspace has no
+//!   serialization crate).
 //!
-//! Lock poisoning: shard locks are recovered (`into_inner`) because the
-//! engine's mutation paths roll back on error; queue/result mutexes that
-//! a panic *can* leave inconsistent surface [`ServiceError::Poisoned`]
-//! instead of panicking the worker thread serving the request.
+//! Lock poisoning: shard locks are recovered (`into_inner`) because
+//! deriving an engine commit writes no tuple and `DeltaSet::apply_to`
+//! validates before it writes; queue/result mutexes that a panic *can*
+//! leave inconsistent surface [`ServiceError::Poisoned`] instead of
+//! panicking the worker thread serving the request.
 
 mod commit;
 mod conn;

@@ -2233,4 +2233,77 @@ mod tests {
         assert_eq!(contents(&open()), memory, "recovery equals memory");
         std::fs::remove_dir_all(&dir).unwrap();
     }
+
+    /// A commit on `p` writes `r2` itself and cascades into `v = r1 ∪ r2`,
+    /// whose strategy reads and writes `r2` too: `r2` gets two deltas in
+    /// one commit, `v`'s putback reads `r2` through `p`'s pending
+    /// insertion (so `20` is not inserted into `r1` as well), and a
+    /// durable service reopened after the commit equals memory.
+    #[test]
+    fn a_cascade_over_a_table_its_parent_wrote_merges_both_deltas() {
+        for mode in [StrategyMode::Original, StrategyMode::Incremental] {
+            let dir = std::env::temp_dir().join(format!(
+                "birds-service-merged-cascade-{mode:?}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let open = || {
+                let mut db = Database::new();
+                db.add_relation(
+                    Relation::with_tuples("r1", 1, vec![tuple![1], tuple![3]]).unwrap(),
+                )
+                .unwrap();
+                db.add_relation(Relation::with_tuples("r2", 1, vec![tuple![8]]).unwrap())
+                    .unwrap();
+                let mut engine = Engine::new(db);
+                engine.register_view(union_strategy(), mode).unwrap();
+                let p = UpdateStrategy::parse(
+                    DatabaseSchema::new()
+                        .with(Schema::new("v", vec![("a", SortKind::Int)]))
+                        .with(Schema::new("r2", vec![("a", SortKind::Int)])),
+                    Schema::new("p", vec![("a", SortKind::Int)]),
+                    "
+                    +v(X) :- p(X), not v(X).
+                    -v(X) :- v(X), not p(X).
+                    +r2(X) :- p(X), not v(X).
+                    ",
+                    None,
+                )
+                .unwrap();
+                engine.register_view(p, mode).unwrap();
+                Service::open(
+                    engine,
+                    ServiceConfig::default(),
+                    DurabilityConfig::new(&dir),
+                )
+                .unwrap()
+            };
+            let contents =
+                |service: &Service| ["r1", "r2", "v", "p"].map(|name| service.query(name).unwrap());
+            let service = open();
+            service
+                .session()
+                .execute("BEGIN; INSERT INTO p VALUES (20); DELETE FROM p WHERE a = 8; END;")
+                .unwrap();
+            let memory = contents(&service);
+            let view = vec![tuple![1], tuple![3], tuple![20]];
+            assert_eq!(
+                memory,
+                [
+                    vec![tuple![1], tuple![3]],
+                    vec![tuple![20]],
+                    view.clone(),
+                    view
+                ],
+                "{mode:?}"
+            );
+            drop(service);
+            assert_eq!(
+                contents(&open()),
+                memory,
+                "{mode:?}: recovery equals memory"
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
 }

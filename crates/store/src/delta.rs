@@ -57,14 +57,6 @@ impl Delta {
         self.insertions.len() + self.deletions.len()
     }
 
-    /// Is the delta a no-op *relative to R*: all insertions already in `R`
-    /// and all deletions absent from `R`? (This is the per-relation
-    /// steady-state condition `Δ⁻∩R = ∅ ∧ Δ⁺\R = ∅` of §4.3.)
-    pub fn is_noop_on(&self, rel: &crate::relation::Relation) -> bool {
-        self.insertions.iter().all(|t| rel.contains(t))
-            && self.deletions.iter().all(|t| !rel.contains(t))
-    }
-
     /// Record a *net-effect* insertion: a pending deletion of the same
     /// tuple is cancelled (the later statement overrides the earlier one,
     /// Algorithm 2's `Δ⁻ ← Δ⁻ \ δ⁺`).
@@ -96,8 +88,9 @@ impl Delta {
 
     /// Drop the parts of the delta that would be no-ops on `rel`:
     /// insertions already present and deletions already absent. The
-    /// *effective* normalization the engine's incremental programs,
-    /// rollback logic, **and the WAL** rely on: a delete of a tuple
+    /// *effective* normalization the engine's incremental programs, its
+    /// reads through a pending delta (which count on `Δ⁺` being disjoint
+    /// from `rel` and `Δ⁻` inside it), **and the WAL** rely on: a delete of a tuple
     /// absent from both the relation and the pending insertions is a
     /// no-op and must not survive normalization — a stored no-effect
     /// delete would replay non-idempotently through the WAL (it becomes
@@ -114,6 +107,12 @@ impl Delta {
     /// contradictory pair would be exactly the non-idempotent replay
     /// hazard this normalization exists to prevent.
     pub fn normalize_against(&mut self, rel: &crate::relation::Relation) {
+        self.normalize_by(|t| rel.contains(t));
+    }
+
+    /// [`Delta::normalize_against`] a relation given by its membership
+    /// test (the engine's view of a relation through a pending delta).
+    pub fn normalize_by(&mut self, present: impl Fn(&Tuple) -> bool) {
         let contradictory: Vec<Tuple> = self
             .insertions
             .intersection(&self.deletions)
@@ -123,8 +122,8 @@ impl Delta {
             self.insertions.remove(t);
             self.deletions.remove(t);
         }
-        self.insertions.retain(|t| !rel.contains(t));
-        self.deletions.retain(|t| rel.contains(t));
+        self.insertions.retain(|t| !present(t));
+        self.deletions.retain(|t| present(t));
     }
 }
 
@@ -181,14 +180,6 @@ impl DeltaSet {
     /// Definition 3.1: no relation has a tuple both inserted and deleted.
     pub fn is_non_contradictory(&self) -> bool {
         self.deltas.values().all(Delta::is_non_contradictory)
-    }
-
-    /// Merge a later delta set into this one, relation by relation, under
-    /// Algorithm 2's override semantics (see [`Delta::merge`]).
-    pub fn merge(&mut self, later: DeltaSet) {
-        for (name, d) in later.deltas {
-            self.entry(name).merge(d);
-        }
     }
 
     /// Apply this delta set to a database: `S ⊕ ΔS`.
@@ -286,17 +277,6 @@ mod tests {
             ds.apply_to(&mut database),
             Err(StoreError::UnknownRelation(_))
         ));
-    }
-
-    #[test]
-    fn noop_detection() {
-        let database = db();
-        let mut d = Delta::new();
-        d.insertions.insert(tuple![1]); // already present
-        d.deletions.insert(tuple![9]); // already absent
-        assert!(d.is_noop_on(database.relation("r1").unwrap()));
-        d.deletions.insert(tuple![2]); // actually present -> not a noop
-        assert!(!d.is_noop_on(database.relation("r1").unwrap()));
     }
 
     #[test]
@@ -457,21 +437,6 @@ mod tests {
             v
         };
         assert_eq!(after_first, after_second);
-    }
-
-    #[test]
-    fn delta_set_merge_is_per_relation() {
-        let mut a = DeltaSet::new();
-        a.insert("r1", tuple![1]);
-        a.delete("r2", tuple![3]);
-        let mut b = DeltaSet::new();
-        b.delete("r1", tuple![1]); // overrides a's insertion
-        b.insert("r2", tuple![4]);
-        a.merge(b);
-        assert!(a.get("r1").unwrap().deletions.contains(&tuple![1]));
-        assert!(a.get("r1").unwrap().insertions.is_empty());
-        assert!(a.get("r2").unwrap().deletions.contains(&tuple![3]));
-        assert!(a.get("r2").unwrap().insertions.contains(&tuple![4]));
     }
 
     #[test]

@@ -4,14 +4,13 @@
 //! names with associated attribute lists (paper §2.1).
 
 use crate::value::ValueSort;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Re-export of the value sort used for attribute typing.
 pub type SortKind = ValueSort;
 
 /// A named, typed attribute of a relation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Attribute {
     /// Attribute name (e.g. `emp_name`).
     pub name: String,
@@ -30,7 +29,7 @@ impl Attribute {
 }
 
 /// Schema of one relation: its name and attributes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     /// Relation (predicate) name.
     pub name: String,
@@ -75,7 +74,7 @@ impl fmt::Display for Schema {
 }
 
 /// Schema of a whole database: an ordered list of relation schemas.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DatabaseSchema {
     /// Relation schemas in declaration order.
     pub relations: Vec<Schema>,

@@ -1,7 +1,6 @@
 //! Tuples: fixed-arity sequences of [`Value`]s.
 
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Index;
 use std::sync::Arc;
@@ -15,7 +14,7 @@ use std::sync::Arc;
 /// set and any number of secondary index buckets (or probe result sets)
 /// shares one allocation: `Tuple::clone` is a reference-count bump, never
 /// a deep copy.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Tuple(Arc<[Value]>);
 
 impl Tuple {

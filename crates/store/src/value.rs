@@ -13,7 +13,6 @@
 //! The evaluator's slot frames and the store's index keys lean on this.
 
 use crate::intern::IStr;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -24,7 +23,7 @@ use std::fmt;
 /// Bool). Cross-sort ordering only exists so that `Value` can be used in
 /// ordered collections; the Datalog builtin comparison predicates reject
 /// cross-sort comparisons (see [`Value::same_sort_cmp`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Value {
     /// 64-bit signed integer (a *discrete* ordered domain: there is no
     /// value strictly between `n` and `n+1`, which matters for the bounded
@@ -42,7 +41,7 @@ pub enum Value {
 }
 
 /// Sort (type) tag of a [`Value`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ValueSort {
     Int,
     Float,
@@ -162,7 +161,7 @@ impl From<f64> for Value {
 }
 
 /// A finite, totally ordered `f64` wrapper with well-defined `Eq`/`Hash`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct F64(f64);
 
 impl F64 {

@@ -255,11 +255,22 @@ fn main() {
         .unwrap()
         .contains(&tuple!["sam", "1962-09-09"]));
 
-    // 3. Dates outside 1962 are rejected by the view constraints.
+    // 3. Dates outside 1962 are rejected by the view constraints, and a
+    //    rejected update changes no relation of the tower.
+    let tower = |engine: &Engine| {
+        ["residents1962", "residents", "female"]
+            .map(|n| engine.relation(n).unwrap().tuples().clone())
+    };
+    let before = tower(&engine);
     let err = engine
         .execute("INSERT INTO residents1962 VALUES ('zoe', '1963-01-01', 'F');")
         .unwrap_err();
     println!("\nconstraint rejection works: {err}");
+    assert_eq!(
+        tower(&engine),
+        before,
+        "the rejected insert changed the tower"
+    );
 
     // 4. ann retires: inserting into `retired` removes her current
     //    department (cascading into eed bookkeeping via ced's strategy).
