@@ -225,10 +225,21 @@ impl Conn {
         self.session_queue.len() + self.session_in_flight + self.stateless_in_flight
     }
 
-    /// Append one response line to the outbox (flushed by the caller).
+    /// Append one response line the reactor made itself (a framing
+    /// error or the bye) to the outbox, flushed by the caller.
     pub fn push_response(&mut self, response: &Json) {
         self.outbox.extend(response.to_compact().as_bytes());
         self.outbox.push_back(b'\n');
+    }
+
+    /// Append lines a worker encoded to the outbox, flushed by the
+    /// caller. An empty outbox takes the buffer over without a copy.
+    pub fn push_lines(&mut self, lines: Vec<u8>) {
+        if self.outbox.is_empty() {
+            self.outbox = VecDeque::from(lines);
+        } else {
+            self.outbox.extend(lines);
+        }
     }
 }
 

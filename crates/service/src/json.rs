@@ -9,7 +9,7 @@
 //! floats so `"base_size": 1000000` survives a parse → serialize round
 //! trip without turning into `1000000.0`.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -154,20 +154,17 @@ impl Json {
         out
     }
 
+    /// Append the single-line rendering to `out`.
+    pub(crate) fn write_compact(&self, out: &mut String) {
+        self.write(out, None, 0);
+    }
+
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
         match self {
             Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => out.push_str(&i.to_string()),
-            Json::Float(f) => {
-                // `{}` prints the shortest round-tripping form; make sure
-                // it still reads back as a float.
-                let s = f.to_string();
-                out.push_str(&s);
-                if !s.contains(['.', 'e', 'E']) {
-                    out.push_str(".0");
-                }
-            }
+            Json::Bool(b) => write_bool(out, *b),
+            Json::Int(i) => write_int(out, *i),
+            Json::Float(f) => write_float(out, *f),
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
@@ -222,7 +219,25 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+pub(crate) fn write_bool(out: &mut String, b: bool) {
+    out.push_str(if b { "true" } else { "false" });
+}
+
+pub(crate) fn write_int(out: &mut String, i: i64) {
+    let _ = write!(out, "{i}"); // writing to a `String` cannot fail
+}
+
+/// Append `f` in the shortest form that round-trips (`{}`), with `.0`
+/// added when that form would read back as an integer.
+pub(crate) fn write_float(out: &mut String, f: f64) {
+    let start = out.len();
+    let _ = write!(out, "{f}"); // writing to a `String` cannot fail
+    if !out[start..].contains(['.', 'e', 'E']) {
+        out.push_str(".0");
+    }
+}
+
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -232,7 +247,7 @@ fn write_escaped(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -540,6 +555,18 @@ mod tests {
         assert!(!rendered.contains("1000000.0"), "{rendered}");
         assert!(rendered.contains("2105.04"), "{rendered}");
         assert_eq!(Json::parse(&rendered).unwrap(), doc);
+    }
+
+    #[test]
+    fn numbers_are_written_as_their_display_forms() {
+        for i in [0, 7, -7, 10, -100, i64::MIN, i64::MAX] {
+            assert_eq!(Json::Int(i).to_compact(), i.to_string());
+        }
+        for f in [0.0, -0.0, 2.5, -3.0, 1e300, -1e-7, f64::MAX] {
+            let s = f.to_string();
+            let expected = if s.contains('.') { s } else { format!("{s}.0") };
+            assert_eq!(Json::Float(f).to_compact(), expected);
+        }
     }
 
     #[test]

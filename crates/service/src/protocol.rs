@@ -10,7 +10,7 @@
 //! | `{"op":"begin"}`                          | `{"ok":true,"batch":true}`                                    |
 //! | `{"op":"commit"}`                         | `{"ok":true,"commit_seq":n,"statements":n,…}`                 |
 //! | `{"op":"rollback"}`                       | `{"ok":true,"discarded":n}`                                   |
-//! | `{"op":"query","relation":"v"}`           | `{"ok":true,"relation":"v","tuples":[[…],…]}`                 |
+//! | `{"op":"query","relation":"v"}`           | `{"ok":true,"relation":"v","count":n,"tuples":[[…],…]}`       |
 //! | `{"op":"stats"}`                          | `{"ok":true,"commits":n,"wal_syncs":n,"views":[…],…}`         |
 //! | `{"op":"checkpoint"}`                     | `{"ok":true,"watermark":n}` (durable servers only)            |
 //! | `{"op":"register",…}`                     | `{"ok":true,"registered":"v","commit_seq":n,"shards":n}`      |
@@ -95,7 +95,7 @@
 
 use crate::error::ServiceError;
 use crate::group_commit::PendingTx;
-use crate::json::Json;
+use crate::json::{self, Json};
 use crate::service::{parse_dml, CommitOutcome, ExecOutcome, Service, Session};
 use birds_core::UpdateStrategy;
 use birds_engine::{ExecutionStats, StrategyMode};
@@ -600,17 +600,66 @@ pub fn with_id(response: Json, id: Option<Json>) -> Json {
     }
 }
 
-fn value_json(v: &Value) -> Json {
-    match v {
-        Value::Int(i) => Json::Int(*i),
-        Value::Float(f) => Json::Float(f.get()),
-        Value::Str(s) => Json::str(s.as_str()),
-        Value::Bool(b) => Json::Bool(*b),
+/// A response before it is encoded: a document, or the sorted rows of
+/// a `query`, which [`Answer::encode`] writes straight into the line
+/// with no tree built.
+pub(crate) enum Answer {
+    /// Every response but a successful `query`.
+    Doc(Json),
+    /// A `query`'s relation and its rows, in order.
+    Rows {
+        /// The queried relation.
+        relation: String,
+        /// Its rows, as [`Service::query`] returns them.
+        tuples: Vec<Tuple>,
+    },
+}
+
+impl Answer {
+    /// Append this response, with `id` echoed, as one compact line
+    /// without its terminator.
+    pub(crate) fn encode(self, id: Option<&Json>, out: &mut String) {
+        match self {
+            Answer::Doc(doc) => with_id(doc, id.cloned()).write_compact(out),
+            Answer::Rows { relation, tuples } => write_query_line(out, &relation, &tuples, id),
+        }
     }
 }
 
-fn tuple_json(t: &Tuple) -> Json {
-    Json::Arr(t.values().iter().map(value_json).collect())
+/// Append the `query` response line for `tuples`, the rows of
+/// `relation`, with `id` echoed: the bytes [`with_id`] and
+/// [`Json::to_compact`] give for the same response as a tree, written
+/// straight from the rows.
+fn write_query_line(out: &mut String, relation: &str, tuples: &[Tuple], id: Option<&Json>) {
+    out.push_str("{\"ok\": true, \"relation\": ");
+    json::write_escaped(out, relation);
+    out.push_str(", \"count\": ");
+    json::write_int(out, tuples.len() as i64);
+    out.push_str(", \"tuples\": [");
+    for (i, tuple) in tuples.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push('[');
+        for (j, value) in tuple.values().iter().enumerate() {
+            if j > 0 {
+                out.push_str(", ");
+            }
+            match value {
+                Value::Int(i) => json::write_int(out, *i),
+                Value::Float(f) => json::write_float(out, f.get()),
+                Value::Str(s) => json::write_escaped(out, s.as_str()),
+                Value::Bool(b) => json::write_bool(out, *b),
+            }
+        }
+        out.push(']');
+    }
+    out.push(']');
+    if let Some(id) = id {
+        out.push_str(", \"id\": ");
+        id.write_compact(out);
+    }
+    out.push('}');
 }
 
 fn stats_fields(stats: &ExecutionStats) -> Vec<(String, Json)> {
@@ -667,9 +716,24 @@ fn applied_response(stats: &ExecutionStats) -> Json {
 
 /// Dispatch one decoded request against a session, producing the reply
 /// object. `Quit` replies with `bye` — the transport decides to close.
-/// Shared by the TCP server and the in-process [`crate::LocalClient`],
-/// so both speak exactly the same protocol.
+/// A `query` reply is its encoded line parsed back; the server writes
+/// that line without building the tree.
 pub fn dispatch(session: &mut Session, request: &Request) -> Json {
+    match answer(session, request) {
+        Answer::Doc(doc) => doc,
+        rows => {
+            let mut line = String::new();
+            rows.encode(None, &mut line);
+            Json::parse(&line).expect("the query encoder writes valid JSON")
+        }
+    }
+}
+
+/// Dispatch one decoded request against a session, producing the reply
+/// before it is encoded. Shared by the TCP server's workers and the
+/// in-process [`crate::LocalClient`], so both speak exactly the same
+/// protocol.
+pub(crate) fn answer(session: &mut Session, request: &Request) -> Answer {
     let result: Result<Json, ServiceError> = match request {
         Request::Ping => Ok(ok(vec![("pong".to_owned(), Json::Bool(true))])),
         Request::Execute { sql } => session.execute(sql).map(|outcome| match outcome {
@@ -687,16 +751,15 @@ pub fn dispatch(session: &mut Session, request: &Request) -> Json {
             .map(|n| ok(vec![("discarded".to_owned(), Json::Int(n as i64))])),
         // A name no shard owns surfaces as the typed
         // `ServiceError::UnknownRelation` straight from the service.
-        Request::Query { relation } => session.service().query(relation).map(|tuples| {
-            ok(vec![
-                ("relation".to_owned(), Json::str(relation.clone())),
-                ("count".to_owned(), Json::Int(tuples.len() as i64)),
-                (
-                    "tuples".to_owned(),
-                    Json::Arr(tuples.iter().map(tuple_json).collect()),
-                ),
-            ])
-        }),
+        Request::Query { relation } => {
+            return match session.service().query(relation) {
+                Ok(tuples) => Answer::Rows {
+                    relation: relation.clone(),
+                    tuples,
+                },
+                Err(e) => Answer::Doc(error_response(&e)),
+            }
+        }
         Request::Stats => Ok(stats_response(session.service(), session.pending())),
         Request::Checkpoint => session
             .service()
@@ -726,7 +789,7 @@ pub fn dispatch(session: &mut Session, request: &Request) -> Json {
         Request::Validate { spec } => Ok(validate_response(spec)),
         Request::Quit => Ok(quit_response()),
     };
-    result.unwrap_or_else(|e| error_response(&e))
+    Answer::Doc(result.unwrap_or_else(|e| error_response(&e)))
 }
 
 /// The `quit` acknowledgement — the connection's last response (the
@@ -807,15 +870,15 @@ fn stats_response(service: &Service, pending: usize) -> Json {
 /// session ops (`begin`/`commit`/`rollback`/in-batch `execute`); those
 /// would misbehave against a scratch session, so they report a protocol
 /// error instead.
-pub(crate) fn stateless_response(service: &Service, request: &Request, pending: usize) -> Json {
+pub(crate) fn stateless_response(service: &Service, request: &Request, pending: usize) -> Answer {
     match request {
-        Request::Stats => stats_response(service, pending),
-        Request::Begin | Request::Commit | Request::Rollback => error_response(
+        Request::Stats => Answer::Doc(stats_response(service, pending)),
+        Request::Begin | Request::Commit | Request::Rollback => Answer::Doc(error_response(
             &ServiceError::Protocol("session op routed to the stateless lane".into()),
-        ),
+        )),
         _ => {
             let mut scratch = service.session();
-            dispatch(&mut scratch, request)
+            answer(&mut scratch, request)
         }
     }
 }
@@ -994,6 +1057,90 @@ mod tests {
             salvage_id(r#"{"sql":"say \"hi\" {not json}","id":5,"x":"#),
             Some(Json::Int(5))
         );
+    }
+
+    /// The `query` response as a tree, as it was built before rows were
+    /// streamed: the oracle for [`write_query_line`].
+    fn query_tree(relation: &str, tuples: &[Tuple]) -> Json {
+        let value = |v: &Value| match v {
+            Value::Int(i) => Json::Int(*i),
+            Value::Float(f) => Json::Float(f.get()),
+            Value::Str(s) => Json::str(s.as_str()),
+            Value::Bool(b) => Json::Bool(*b),
+        };
+        let row = |t: &Tuple| Json::Arr(t.values().iter().map(value).collect());
+        ok(vec![
+            ("relation".to_owned(), Json::str(relation)),
+            ("count".to_owned(), Json::Int(tuples.len() as i64)),
+            (
+                "tuples".to_owned(),
+                Json::Arr(tuples.iter().map(row).collect()),
+            ),
+        ])
+    }
+
+    #[test]
+    fn streamed_query_lines_match_the_tree() {
+        use birds_store::tuple;
+        let relations: [(&str, Vec<Tuple>); 7] = [
+            (
+                "ints",
+                vec![tuple![i64::MIN, i64::MAX], tuple![0, -1], tuple![10, 1000]],
+            ),
+            (
+                "floats",
+                vec![tuple![-0.0, 0.5], tuple![3.0, -2.0], tuple![1e300, -1e-7]],
+            ),
+            (
+                "strings",
+                vec![
+                    tuple!["say \"hi\"", "back\\slash"],
+                    tuple!["\u{0}\u{1f}\n\r\t\u{8}", "é😀 ü"],
+                    tuple!["", "/"],
+                ],
+            ),
+            ("bools", vec![tuple![true], tuple![false]]),
+            ("mixed \"name\"\n", vec![tuple![1, 2.5, "x", true]]),
+            ("nullary", vec![tuple![]]),
+            ("empty", vec![]),
+        ];
+        let ids = [
+            None,
+            Some(Json::Null),
+            Some(Json::Bool(false)),
+            Some(Json::Int(-42)),
+            Some(Json::Float(2.0)),
+            Some(Json::str("req \"7\"")),
+            Some(Json::Arr(vec![])),
+            Some(Json::Obj(vec![])),
+            Some(Json::parse(r#"[1, {"a": [null, "b"], "c": {}}, []]"#).unwrap()),
+        ];
+        for (relation, tuples) in &relations {
+            for id in &ids {
+                let mut line = String::new();
+                let rows = Answer::Rows {
+                    relation: relation.to_string(),
+                    tuples: tuples.clone(),
+                };
+                rows.encode(id.as_ref(), &mut line);
+                let tree = with_id(query_tree(relation, tuples), id.clone());
+                assert_eq!(line, tree.to_compact(), "{relation} {id:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn both_clients_answer_a_query_as_the_tree_did() {
+        let service = crate::server::tests::union_service();
+        let tree = query_tree("v", &service.query("v").unwrap());
+        let mut client = crate::LocalClient::connect(&service);
+        let id = Json::parse(r#"[7, {"k": "v"}]"#).unwrap();
+        let request = Request::Query {
+            relation: "v".into(),
+        };
+        let line = client.request_line(&request.encode_with_id(id.clone()));
+        assert_eq!(line, with_id(tree.clone(), Some(id)).to_compact());
+        assert_eq!(client.request(&request), tree);
     }
 
     #[test]

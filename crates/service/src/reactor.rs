@@ -7,13 +7,20 @@
 //! * **Event loop** (this module's [`Reactor`]): a single thread blocked
 //!   in `epoll_wait` over the nonblocking listener, a wakeup eventfd,
 //!   and every live connection. It owns all connection state — sockets,
-//!   framers, outboxes, request lanes — so none of it needs locks.
+//!   framers, outboxes, request lanes — so none of it needs locks. It
+//!   encodes no worker's answer: it appends the bytes a completion
+//!   carries to the outbox, and into an empty outbox it moves the buffer
+//!   without a copy. The only lines it encodes are its own: framing
+//!   errors, the connection limit and the bye.
 //! * **Worker pool**: `workers` threads popping jobs (one stateless
 //!   request, one connection's run of autocommits or one shard's epoch
 //!   of such a run, or one connection's run of session-lane requests)
-//!   from a shared queue, dispatching them against the service, and
-//!   pushing the responses back through a completion list + eventfd
-//!   wakeup. Workers never touch sockets.
+//!   from a shared queue, dispatching them against the service,
+//!   encoding every response into its newline-terminated line (a
+//!   `query`'s rows straight from the sorted tuples, with no tree), and
+//!   pushing the lines back through a completion list + eventfd wakeup.
+//!   A scan's encoding thereby costs its own worker, not every
+//!   connection's next ack. Workers never touch sockets.
 //!
 //! ## Two-lane scheduling (the ordering contract)
 //!
@@ -90,8 +97,8 @@ use crate::error::ServiceError;
 use crate::group_commit::PendingTx;
 use crate::json::Json;
 use crate::protocol::{
-    autocommit_reply, autocommit_tx, dispatch, error_response, quit_response, salvage_id,
-    stateless_response, with_id, Envelope, Request,
+    answer, autocommit_reply, autocommit_tx, error_response, quit_response, salvage_id,
+    stateless_response, with_id, Answer, Envelope, Request,
 };
 use crate::server::ServerConfig;
 use crate::service::{QueuedEpoch, Service, Session};
@@ -172,9 +179,35 @@ struct QueuedRun {
 
 impl QueuedRun {
     /// The replies of `members`, whose results are filled.
-    fn replies(&self, members: &[usize]) -> Vec<Json> {
-        let reply = |i: usize| with_id(autocommit_reply(&self.txs[i]), self.ids[i].clone());
-        members.iter().map(|&i| reply(i)).collect()
+    fn replies(&self, members: &[usize]) -> Lines {
+        let mut lines = Lines::default();
+        for &i in members {
+            lines.push(Answer::Doc(autocommit_reply(&self.txs[i])), &self.ids[i]);
+        }
+        lines
+    }
+}
+
+/// Responses a worker encoded: the reactor only appends them.
+#[derive(Default)]
+struct Lines {
+    /// How many responses `text` holds.
+    count: usize,
+    /// The responses, each one newline-terminated line.
+    text: String,
+}
+
+impl Lines {
+    /// Encode one response, echoing `id`, and drop its tree here.
+    fn push(&mut self, answer: Answer, id: &Option<Json>) {
+        answer.encode(id.as_ref(), &mut self.text);
+        self.text.push('\n');
+        self.count += 1;
+    }
+
+    fn append(&mut self, other: Lines) {
+        self.text.push_str(&other.text);
+        self.count += other.count;
     }
 }
 
@@ -185,15 +218,15 @@ struct Completion {
     conn: usize,
     generation: u32,
     lane: Lane,
-    responses: Vec<Json>,
+    lines: Lines,
 }
 
 /// How a worker runs a session-lane request and leads an autocommit
-/// epoch: [`dispatch`] and [`Service::lead_autocommits`], except in
-/// tests that inject a panic.
+/// epoch: [`answer`] and [`Service::lead_autocommits`], except in tests
+/// that inject a panic.
 #[derive(Clone, Copy)]
 struct Runners {
-    dispatch: fn(&mut Session, &Request) -> Json,
+    dispatch: fn(&mut Session, &Request) -> Answer,
     lead: Lead,
 }
 
@@ -202,7 +235,7 @@ type Lead = fn(&Service, QueuedEpoch, &mut dyn FnMut(&[usize]));
 
 impl Runners {
     const SERVICE: Runners = Runners {
-        dispatch,
+        dispatch: answer,
         lead: |service, epoch, finished| service.lead_autocommits(epoch, finished),
     };
 }
@@ -313,12 +346,12 @@ impl Shared {
 fn worker_loop(service: Service, shared: Arc<Shared>, runners: Runners) {
     while let Some(job) = shared.pop_job() {
         let (conn, generation, lane) = (job.conn, job.generation, job.work.lane());
-        let mut complete = |responses| {
+        let mut complete = |lines| {
             shared.complete(Completion {
                 conn,
                 generation,
                 lane,
-                responses,
+                lines,
             })
         };
         match job.work {
@@ -326,14 +359,14 @@ fn worker_loop(service: Service, shared: Arc<Shared>, runners: Runners) {
                 requests,
                 session,
                 pending_hint,
-            } => complete(answer_in_order(&requests, "session", |responses| {
+            } => complete(answer_in_order(&requests, "session", |lines| {
                 let Ok(mut session) = session.lock() else {
                     return;
                 };
                 for (request, id) in &requests {
                     let response = (runners.dispatch)(&mut session, request);
                     pending_hint.store(session.pending(), Ordering::Relaxed);
-                    responses.push(with_id(response, id.clone()));
+                    lines.push(response, id);
                 }
             })),
             Work::Stateless {
@@ -341,10 +374,12 @@ fn worker_loop(service: Service, shared: Arc<Shared>, runners: Runners) {
                 pending_hint,
             } => {
                 let requests = std::slice::from_ref(&request);
-                complete(answer_in_order(requests, "request", |responses| {
+                complete(answer_in_order(requests, "request", |lines| {
                     let pending = pending_hint.load(Ordering::Relaxed);
-                    let response = stateless_response(&service, &request.0, pending);
-                    responses.push(with_id(response, request.1.clone()));
+                    lines.push(
+                        stateless_response(&service, &request.0, pending),
+                        &request.1,
+                    );
                 }))
             }
             Work::Autocommits(run) => {
@@ -354,10 +389,10 @@ fn worker_loop(service: Service, shared: Arc<Shared>, runners: Runners) {
                 let Ok((run, early, mut epochs)) =
                     panic::catch_unwind(AssertUnwindSafe(|| queue_autocommits(&service, &run)))
                 else {
-                    complete(poisoned(run.iter().map(|(_, id)| id)));
+                    complete(poisoned("request", run.iter().map(|(_, id)| id)));
                     continue;
                 };
-                if !early.is_empty() {
+                if early.count > 0 {
                     complete(early);
                 }
                 if epochs.is_empty() {
@@ -392,20 +427,20 @@ fn worker_loop(service: Service, shared: Arc<Shared>, runners: Runners) {
 fn queue_autocommits(
     service: &Service,
     run: &[(String, Option<Json>)],
-) -> (QueuedRun, Vec<Json>, Vec<QueuedEpoch>) {
-    let (mut txs, mut ids, mut early) = (Vec::new(), Vec::new(), Vec::new());
+) -> (QueuedRun, Lines, Vec<QueuedEpoch>) {
+    let (mut txs, mut ids, mut early) = (Vec::new(), Vec::new(), Lines::default());
     for (sql, id) in run {
         match autocommit_tx(service, sql) {
             Ok(tx) => {
                 txs.push(tx);
                 ids.push(id.clone());
             }
-            Err(reply) => early.push(with_id(reply, id.clone())),
+            Err(reply) => early.push(Answer::Doc(reply), id),
         }
     }
     let queued = QueuedRun { txs, ids };
     let (failed, epochs) = service.enqueue_autocommits(queued.txs.iter().cloned().enumerate());
-    early.extend(queued.replies(&failed));
+    early.append(queued.replies(&failed));
     (queued, early, epochs)
 }
 
@@ -420,7 +455,7 @@ fn lead_epoch(
     run: &QueuedRun,
     epoch: QueuedEpoch,
     runners: Runners,
-    complete: &mut impl FnMut(Vec<Json>),
+    complete: &mut impl FnMut(Lines),
 ) {
     let mut unanswered: Vec<usize> = epoch.members().collect();
     let _ = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -434,12 +469,15 @@ fn lead_epoch(
     }
 }
 
-/// The `Poisoned` answers of the requests `ids` — requests a panic cut
-/// short.
-fn poisoned<'a>(ids: impl IntoIterator<Item = &'a Option<Json>>) -> Vec<Json> {
-    let error = error_response(&ServiceError::Poisoned("request".into()));
-    let answer = |id: &Option<Json>| with_id(error.clone(), id.clone());
-    ids.into_iter().map(answer).collect()
+/// The `Poisoned` (`what`) answers of the requests `ids` — requests a
+/// panic cut short.
+fn poisoned<'a>(what: &str, ids: impl IntoIterator<Item = &'a Option<Json>>) -> Lines {
+    let error = error_response(&ServiceError::Poisoned(what.into()));
+    let mut lines = Lines::default();
+    for id in ids {
+        lines.push(Answer::Doc(error.clone()), id);
+    }
+    lines
 }
 
 /// Answer `requests` in order: `run` pushes one response per request
@@ -452,18 +490,13 @@ fn poisoned<'a>(ids: impl IntoIterator<Item = &'a Option<Json>>) -> Vec<Json> {
 fn answer_in_order(
     requests: &[(Request, Option<Json>)],
     what: &str,
-    run: impl FnOnce(&mut Vec<Json>),
-) -> Vec<Json> {
-    let mut responses = Vec::with_capacity(requests.len());
-    let _ = panic::catch_unwind(AssertUnwindSafe(|| run(&mut responses)));
-    let error = error_response(&ServiceError::Poisoned(what.into()));
-    let unanswered = &requests[responses.len()..];
-    responses.extend(
-        unanswered
-            .iter()
-            .map(|(_, id)| with_id(error.clone(), id.clone())),
-    );
-    responses
+    run: impl FnOnce(&mut Lines),
+) -> Lines {
+    let mut lines = Lines::default();
+    let _ = panic::catch_unwind(AssertUnwindSafe(|| run(&mut lines)));
+    let unanswered = &requests[lines.count..];
+    lines.append(poisoned(what, unanswered.iter().map(|(_, id)| id)));
+    lines
 }
 
 /// What one nonblocking read attempt yielded.
@@ -915,11 +948,9 @@ impl Reactor {
                 };
                 match completion.lane {
                     Lane::Session => conn.session_in_flight = 0,
-                    Lane::Stateless => conn.stateless_in_flight -= completion.responses.len(),
+                    Lane::Stateless => conn.stateless_in_flight -= completion.lines.count,
                 }
-                for response in &completion.responses {
-                    conn.push_response(response);
-                }
+                conn.push_lines(completion.lines.text.into_bytes());
             }
             self.flush(idx);
             if self.conns[idx].is_none() {
@@ -1133,20 +1164,27 @@ mod tests {
         reactor.join().unwrap().unwrap();
     }
 
-    fn panics_on_boom(session: &mut Session, request: &Request) -> Json {
+    fn panics_on_boom(session: &mut Session, request: &Request) -> Answer {
         if matches!(request, Request::Execute { sql } if sql == "boom") {
             panic!("injected dispatch panic");
         }
-        dispatch(session, request)
+        answer(session, request)
     }
 
-    /// Take completions until `n` responses have arrived.
+    /// Take completions until `n` responses have arrived, parsing each
+    /// completion's lines; a completion holds exactly `count` of them.
     fn await_responses(shared: &Shared, n: usize) -> Vec<Json> {
         let deadline = Instant::now() + Duration::from_secs(20);
         let (mut done, mut responses) = (Vec::new(), Vec::new());
         while responses.len() < n {
             shared.take_completions(&mut done);
-            responses.extend(done.drain(..).flat_map(|completion| completion.responses));
+            for Completion { lines, .. } in done.drain(..) {
+                let text = lines.text;
+                let split: Vec<&str> = text.split_terminator('\n').collect();
+                assert!(text.is_empty() || text.ends_with('\n'), "{text}");
+                assert_eq!(split.len(), lines.count, "{text}");
+                responses.extend(split.iter().map(|line| Json::parse(line).unwrap()));
+            }
             assert!(Instant::now() < deadline, "only {responses:?} answered");
             std::thread::sleep(Duration::from_millis(1));
         }

@@ -18,7 +18,7 @@
 //! [`Server::enable_signal_shutdown`] is called) drains gracefully:
 //! accepted requests answer, outboxes flush, then connections close.
 
-use crate::protocol::{dispatch, error_response, with_id, Envelope, Request};
+use crate::protocol::{answer, dispatch, error_response, with_id, Envelope, Request};
 use crate::reactor::{serve, Shared};
 use crate::service::{Service, Session};
 use std::net::TcpListener;
@@ -174,11 +174,14 @@ impl LocalClient {
     /// Send one raw protocol line; returns the raw response line (with
     /// the request's `id` echoed, exactly like the TCP server).
     pub fn request_line(&mut self, line: &str) -> String {
+        let mut response = String::new();
         match Envelope::parse(line) {
-            Ok(Envelope { id, request }) => with_id(dispatch(&mut self.session, &request), id),
-            Err((id, e)) => with_id(error_response(&e), id),
+            Ok(Envelope { id, request }) => {
+                answer(&mut self.session, &request).encode(id.as_ref(), &mut response)
+            }
+            Err((id, e)) => with_id(error_response(&e), id).write_compact(&mut response),
         }
-        .to_compact()
+        response
     }
 
     /// Send a decoded request; returns the response document.

@@ -111,7 +111,7 @@ use birds_engine::{
     strategy_touches, Engine, EngineError, ExecutionStats, StrategyMode, ViewDefinition,
 };
 use birds_sql::{parse_script, DmlStatement};
-use birds_store::{Database, Relation, RelationVersion, Tuple};
+use birds_store::{Database, Relation, RelationVersion, Tuple, Value};
 use birds_wal::{
     FsyncPolicy, Registration, SegmentWriter, ViewDef, WalRecord, DEFAULT_SEGMENT_BYTES,
 };
@@ -582,16 +582,25 @@ impl Service {
     /// # Ok::<(), birds_service::ServiceError>(())
     /// ```
     pub fn query(&self, relation: &str) -> ServiceResult<Vec<Tuple>> {
-        // Keep only this relation's version: the rest of the snapshot is
-        // dropped here, so a long read pins no other shard's buffers.
-        let rel = self
-            .generation()
-            .relation(relation)
-            .cloned()
-            .ok_or_else(|| ServiceError::UnknownRelation(relation.to_owned()))?;
-        let mut tuples: Vec<Tuple> = rel.iter().cloned().collect();
-        tuples.sort();
-        Ok(tuples)
+        // Pin only this relation's version, and only while its rows are
+        // copied: the rest of the snapshot is dropped at once and the
+        // version before the sort, so a long read holds back no buffer a
+        // writer could otherwise reuse.
+        let mut rows: Vec<(Option<Value>, Tuple)> = {
+            let rel = self
+                .generation()
+                .relation(relation)
+                .cloned()
+                .ok_or_else(|| ServiceError::UnknownRelation(relation.to_owned()))?;
+            rel.iter()
+                .map(|tuple| (tuple.values().first().copied(), tuple.clone()))
+                .collect()
+        };
+        // The inline first column decides most comparisons without a
+        // tuple's pointer being followed. A set's members are distinct,
+        // so the unstable sort gives `sort()`'s order.
+        rows.sort_unstable_by(|(a, s), (b, t)| a.cmp(b).then_with(|| s.cmp(t)));
+        Ok(rows.into_iter().map(|(_, tuple)| tuple).collect())
     }
 
     /// Names of all registered views, in name order — from the
@@ -1705,6 +1714,43 @@ mod tests {
 
     fn union_service() -> Service {
         Service::new(union_engine())
+    }
+
+    #[test]
+    fn query_returns_rows_in_tuple_order() {
+        // Ties on column 0, a column mixing every sort, an arity-0
+        // relation and an empty one.
+        let mixed = vec![
+            tuple![3, "b", true],
+            tuple![3, "a", 2.5],
+            tuple![3, 1, false],
+            tuple![-1, 2.5, "z"],
+            tuple![2.5, 0, 0],
+            tuple![-7.0, "é", 1],
+            tuple!["b", 1, 1],
+            tuple!["a", true, 1],
+            tuple!["a", -3, 1],
+            tuple![true, 1, 1],
+            tuple![false, 1, 1],
+            tuple![i64::MIN, 0.0, ""],
+            tuple![i64::MAX, 1e300, "\""],
+        ];
+        let relations = [
+            ("mixed", 3, mixed),
+            ("nullary", 0, vec![tuple![]]),
+            ("empty", 2, vec![]),
+        ];
+        let mut db = Database::new();
+        for (name, arity, tuples) in &relations {
+            db.add_relation(Relation::with_tuples(*name, *arity, tuples.clone()).unwrap())
+                .unwrap();
+        }
+        let service = Service::new(Engine::new(db));
+        for (name, _, tuples) in relations {
+            let expected: BTreeSet<Tuple> = tuples.into_iter().collect();
+            let expected: Vec<Tuple> = expected.into_iter().collect();
+            assert_eq!(service.query(name).unwrap(), expected, "{name}");
+        }
     }
 
     #[test]
